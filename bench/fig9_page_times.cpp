@@ -16,7 +16,6 @@ using namespace pld::flow;
 int
 main()
 {
-    bench::initObservability();
     double effort = bench::benchEffort(25.0);
     auto benches = rosetta::allBenchmarks();
 
@@ -29,8 +28,7 @@ main()
         PldCompiler pc(bench::device(), bench::compileOptions(effort));
         AppBuild o1 = pc.build(bm.graph, OptLevel::O1);
 
-        // The pld.page.seconds strip from the build's telemetry
-        // window — the same numbers PLD_METRICS reports.
+        // The same samples pld.page.seconds records for this build.
         std::vector<double> times = bench::pageSeconds(o1);
         std::string strip;
         for (double s : times)

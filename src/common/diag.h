@@ -124,7 +124,7 @@ struct CompileStatus
 /**
  * Exception carrying a Diagnostic across the compile pipeline. Thrown
  * for mid-compile failures (including injected ones); the artifact
- * cache converts it into a failure sentinel so waiters never hang.
+ * cache fails the compile's claim on it so waiters never hang.
  */
 class CompileError : public std::runtime_error
 {

@@ -141,54 +141,42 @@ runBareIss(const GenCase &c, InjectedBug bug, uint64_t budget,
     ro.tier = tier;
     rv32::PldElf elf = rvgen::compileToRiscv(fn, ro).elf;
 
-    std::vector<std::unique_ptr<dataflow::WordFifo>> fifos;
-    std::vector<std::unique_ptr<dataflow::StreamPort>> portStore;
-    std::vector<dataflow::StreamPort *> ports;
-    std::vector<int> outFifoOfExt(g.extOutputs.size(), -1);
-
+    // Port order <-> the external streams wired to each port.
+    std::vector<std::vector<uint32_t>> ins, words;
+    std::vector<int> out_stream;
     for (size_t p = 0; p < fn.ports.size(); ++p) {
-        fifos.push_back(std::make_unique<dataflow::WordFifo>(0));
-        dataflow::WordFifo &f = *fifos.back();
         ir::Endpoint ep{0, static_cast<int>(p)};
         if (fn.ports[p].dir == ir::PortDir::In) {
             int li = g.linkInto(ep);
             pld_assert(li >= 0 && g.links[li].src.isExternal(),
                        "bare ISS runs need external inputs");
-            for (uint32_t w : c.inputs[g.links[li].src.port])
-                f.push(w);
-            portStore.push_back(
-                std::make_unique<dataflow::FifoReadPort>(f));
+            ins.push_back(c.inputs[g.links[li].src.port]);
         } else {
             int li = g.linkFrom(ep);
             pld_assert(li >= 0 && g.links[li].dst.isExternal(),
                        "bare ISS runs need external outputs");
-            outFifoOfExt[g.links[li].dst.port] =
-                static_cast<int>(p);
-            portStore.push_back(
-                std::make_unique<dataflow::FifoWritePort>(f));
+            out_stream.push_back(g.links[li].dst.port);
         }
-        ports.push_back(portStore.back().get());
     }
-
-    rv32::Core core(elf, ports);
-    rv32::CoreStatus st = core.step(budget);
-    if (st == rv32::CoreStatus::Trapped) {
-        *why = "softcore trapped: " + core.trapReason();
+    bool halted = runOnFifos(
+        fn, ins,
+        [&](const std::vector<dataflow::StreamPort *> &ports) {
+            rv32::Core core(elf, ports);
+            rv32::CoreStatus st = core.step(budget);
+            if (st == rv32::CoreStatus::Trapped)
+                *why = "softcore trapped: " + core.trapReason();
+            else if (st != rv32::CoreStatus::Halted)
+                *why = "softcore did not halt (blocked or out of "
+                       "budget)";
+            return st == rv32::CoreStatus::Halted;
+        },
+        &words);
+    if (!halted)
         return false;
-    }
-    if (st != rv32::CoreStatus::Halted) {
-        *why = "softcore did not halt (blocked or out of budget)";
-        return false;
-    }
 
-    out->clear();
-    for (size_t i = 0; i < g.extOutputs.size(); ++i) {
-        std::vector<uint32_t> words;
-        dataflow::WordFifo &f = *fifos[outFifoOfExt[i]];
-        while (f.canPop())
-            words.push_back(f.pop());
-        out->push_back(std::move(words));
-    }
+    out->assign(g.extOutputs.size(), {});
+    for (size_t o = 0; o < words.size(); ++o)
+        (*out)[out_stream[o]] = std::move(words[o]);
     return true;
 }
 
@@ -204,6 +192,46 @@ diffStatusName(DiffStatus s)
       case DiffStatus::Invalid: return "invalid";
     }
     return "?";
+}
+
+bool
+runOnFifos(const ir::OperatorFn &fn,
+           const std::vector<std::vector<uint32_t>> &inputs,
+           const std::function<bool(
+               const std::vector<dataflow::StreamPort *> &)> &run,
+           std::vector<std::vector<uint32_t>> *outputs)
+{
+    std::vector<dataflow::WordFifo> fifos(fn.ports.size());
+    std::vector<std::unique_ptr<dataflow::StreamPort>> storage;
+    std::vector<dataflow::StreamPort *> ports;
+    size_t in_ord = 0;
+    for (size_t p = 0; p < fn.ports.size(); ++p) {
+        if (fn.ports[p].dir == ir::PortDir::In) {
+            pld_assert(in_ord < inputs.size(),
+                       "standalone run: missing input words");
+            for (uint32_t w : inputs[in_ord++])
+                fifos[p].push(w);
+            storage.push_back(
+                std::make_unique<dataflow::FifoReadPort>(fifos[p]));
+        } else {
+            storage.push_back(
+                std::make_unique<dataflow::FifoWritePort>(fifos[p]));
+        }
+        ports.push_back(storage.back().get());
+    }
+    if (!run(ports))
+        return false;
+
+    outputs->clear();
+    for (size_t p = 0; p < fn.ports.size(); ++p) {
+        if (fn.ports[p].dir != ir::PortDir::Out)
+            continue;
+        std::vector<uint32_t> words;
+        while (fifos[p].canPop())
+            words.push_back(fifos[p].pop());
+        outputs->push_back(std::move(words));
+    }
+    return true;
 }
 
 bool

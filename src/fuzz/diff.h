@@ -29,9 +29,11 @@
 #ifndef PLD_FUZZ_DIFF_H
 #define PLD_FUZZ_DIFF_H
 
+#include <functional>
 #include <string>
 #include <vector>
 
+#include "dataflow/stream.h"
 #include "fuzz/gen.h"
 #include "fuzz/mutate.h"
 
@@ -79,6 +81,20 @@ struct DiffResult
 bool goldenOutputs(const GenCase &c,
                    std::vector<std::vector<uint32_t>> *out,
                    std::string *why);
+
+/**
+ * The single-operator harness: run @p fn on plain unbounded FIFOs.
+ * @p inputs holds the words preloaded into each input port, in port
+ * order; @p run executes the operator on the port list (indexed like
+ * OperatorFn::ports) and says whether it completed; @p outputs then
+ * receives each output port's words, in port order.
+ */
+bool runOnFifos(
+    const ir::OperatorFn &fn,
+    const std::vector<std::vector<uint32_t>> &inputs,
+    const std::function<bool(const std::vector<dataflow::StreamPort *> &)>
+        &run,
+    std::vector<std::vector<uint32_t>> *outputs);
 
 /** Full differential run of one case. */
 DiffResult diffCase(const GenCase &c, const DiffOptions &opts = {});

@@ -1,10 +1,10 @@
 #include "fuzz/shrink.h"
 
 #include <algorithm>
-#include <memory>
 #include <utility>
 
 #include "common/logging.h"
+#include "fuzz/diff.h"
 #include "fuzz/mutate.h"
 #include "interp/exec.h"
 #include "ir/validate.h"
@@ -476,41 +476,14 @@ std::vector<std::vector<uint32_t>>
 runOperatorStandalone(const ir::OperatorFn &fn,
                       const std::vector<std::vector<uint32_t>> &inputs)
 {
-    std::vector<std::unique_ptr<dataflow::WordFifo>> fifos;
-    std::vector<std::unique_ptr<dataflow::StreamPort>> storage;
-    std::vector<dataflow::StreamPort *> ports;
-    std::vector<dataflow::WordFifo *> outFifos;
-
-    size_t in_ord = 0;
-    for (const auto &p : fn.ports) {
-        fifos.push_back(std::make_unique<dataflow::WordFifo>(0));
-        dataflow::WordFifo &f = *fifos.back();
-        if (p.dir == ir::PortDir::In) {
-            pld_assert(in_ord < inputs.size(),
-                       "standalone run: missing input words");
-            for (uint32_t w : inputs[in_ord++])
-                f.push(w);
-            storage.push_back(
-                std::make_unique<dataflow::FifoReadPort>(f));
-        } else {
-            outFifos.push_back(&f);
-            storage.push_back(
-                std::make_unique<dataflow::FifoWritePort>(f));
-        }
-        ports.push_back(storage.back().get());
-    }
-
-    interp::OperatorExec exec(fn, ports);
-    if (exec.run(100000000ull) != interp::RunStatus::Done)
-        return {};
-
     std::vector<std::vector<uint32_t>> out;
-    for (dataflow::WordFifo *f : outFifos) {
-        std::vector<uint32_t> words;
-        while (f->canPop())
-            words.push_back(f->pop());
-        out.push_back(std::move(words));
-    }
+    runOnFifos(
+        fn, inputs,
+        [&](const std::vector<dataflow::StreamPort *> &ports) {
+            interp::OperatorExec exec(fn, ports);
+            return exec.run(100000000ull) == interp::RunStatus::Done;
+        },
+        &out);
     return out;
 }
 

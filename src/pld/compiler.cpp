@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <mutex>
 #include <sstream>
 #include <stdexcept>
 
@@ -139,10 +138,7 @@ PldCompiler::PldCompiler(const Device &dev, CompileOptions opts)
 void
 PldCompiler::clearCache()
 {
-    for (auto &sh : shards) {
-        std::lock_guard<std::mutex> lk(sh.mtx);
-        sh.map.clear();
-    }
+    cache.clear();
     cache_stats.hits = 0;
     cache_stats.misses = 0;
     cache_stats.compiles = 0;
@@ -211,124 +207,85 @@ isDegraded(const OperatorArtifact &a)
 
 } // namespace
 
-std::shared_ptr<OperatorArtifact>
-PldCompiler::lookup(uint64_t key, double effort, int *generation)
+std::shared_ptr<const OperatorArtifact>
+PldCompiler::artifact(const ir::OperatorFn &fn, ir::Target target,
+                      int page_id, int promo_page, double effort,
+                      bool *from_cache)
 {
-    CacheShard &sh = shards[key % kCacheShards];
-    std::unique_lock<std::mutex> lk(sh.mtx);
-    auto it = sh.map.find(key);
-    if (it == sh.map.end()) {
-        // First miss claims the slot; the caller compiles it.
-        *generation = sh.map[key].generation++;
-        ++cache_stats.misses;
-        obs::count("cache.misses");
-        return nullptr;
-    }
-    // A null artifact means another thread is compiling this key
-    // right now; wait for it rather than compiling twice. A failure
-    // sentinel wakes exactly one waiter to re-claim the compile.
-    std::shared_ptr<OperatorArtifact> art;
-    bool claimed = false;
-    bool waited = false;
-    sh.cv.wait(lk, [&] {
-        auto i = sh.map.find(key);
-        if (i == sh.map.end()) {
-            waited = true;
+    auto reusable = [&](const CachedArtifact &c) {
+        if (artifactChecksum(c.art) != c.checksum) {
+            pld_warn("cache: corrupt artifact for %s (checksum "
+                     "mismatch); recompiling",
+                     c.art.name.c_str());
+            ++cache_stats.corrupt;
+            obs::count("cache.corrupt");
+            obs::instant("cache", "cache.corrupt_recompile")
+                .arg("op", c.art.name);
             return false;
         }
-        CacheEntry &e = i->second;
-        if (e.failed) {
-            e.failed = false;
-            *generation = e.generation++;
-            claimed = true;
-            return true;
-        }
-        if (e.art == nullptr) {
-            waited = true;
+        if (isDegraded(c.art) && effort > c.art.effortUsed + 1e-12) {
+            // Never serve a degraded/fallback artifact to a build
+            // asking for more effort than it was compiled with:
+            // re-claim and retry the full ladder at the higher effort.
+            obs::count("cache.degraded_evictions");
             return false;
         }
-        art = e.art;
         return true;
-    });
-    if (waited) {
+    };
+    auto flight =
+        cache.acquire(cacheKey(fn, target, page_id, true), reusable);
+    if (flight.waited()) {
         // Whether a lookup actually blocked on an in-flight compile
         // is pure scheduling, hence the sched. prefix.
         obs::count("sched.cache.waits");
     }
-    if (claimed) {
-        ++cache_stats.misses;
-        obs::count("cache.misses");
-        return nullptr;
+    if (from_cache)
+        *from_cache = !flight.claimed();
+    if (const auto &hit = flight.value()) {
+        ++cache_stats.hits;
+        obs::count("cache.hits");
+        return {hit, &hit->art};
     }
-    CacheEntry &e = sh.map[key];
-    if (artifactChecksum(*art) != e.checksum) {
-        // Corrupt entry: evict and re-claim; waiters (if any) block
-        // until our recompile publishes.
-        pld_warn("cache: corrupt artifact for %s (checksum "
-                 "mismatch); recompiling",
-                 art->name.c_str());
-        e.art = nullptr;
-        *generation = e.generation++;
-        ++cache_stats.corrupt;
-        ++cache_stats.misses;
-        obs::count("cache.corrupt");
-        obs::count("cache.misses");
-        obs::instant("cache", "cache.corrupt_recompile")
-            .arg("op", art->name);
-        return nullptr;
-    }
-    if (isDegraded(*art) && effort > art->effortUsed + 1e-12) {
-        // Never serve a degraded/fallback artifact to a build asking
-        // for more effort than it was compiled with: re-claim and
-        // retry the full ladder at the higher effort.
-        e.art = nullptr;
-        *generation = e.generation++;
-        ++cache_stats.misses;
-        obs::count("cache.misses");
-        obs::count("cache.degraded_evictions");
-        return nullptr;
-    }
-    ++cache_stats.hits;
-    obs::count("cache.hits");
-    return art;
-}
+    ++cache_stats.misses;
+    obs::count("cache.misses");
 
-void
-PldCompiler::publish(uint64_t key,
-                     std::shared_ptr<OperatorArtifact> art,
-                     int generation)
-{
-    uint64_t sum = artifactChecksum(*art);
+    const int gen = flight.generation();
+    std::shared_ptr<OperatorArtifact> art;
+    try {
+        if (injector.fires(FaultKind::CompileThrow, fn.name,
+                           gen * kFaultAttemptStride)) {
+            Diagnostic d;
+            d.code = CompileCode::CompileException;
+            d.stage = CompileStage::Hls;
+            d.severity = DiagSeverity::Error;
+            d.op = fn.name;
+            d.page = page_id;
+            d.retriable = true;
+            d.detail = "injected mid-compile exception";
+            throw CompileError(std::move(d));
+        }
+        art = target == ir::Target::HW
+                  ? compileHwLadder(fn, page_id, promo_page, effort, gen)
+                  : compileSoftcore(fn, page_id);
+    } catch (...) {
+        // The flight fails the claim as it unwinds.
+        ++cache_stats.failures;
+        obs::count("cache.failures");
+        throw;
+    }
+    auto slot = std::make_shared<CachedArtifact>();
+    slot->checksum = artifactChecksum(*art);
     if (injector.fires(FaultKind::CacheCorrupt, art->name,
-                       generation * kFaultAttemptStride)) {
+                       gen * kFaultAttemptStride)) {
         // Injected corruption: the stored checksum no longer matches
         // the artifact, exactly as a bit-rotted entry would look.
-        sum ^= 0xC0FFEEBADC0DEull;
+        slot->checksum ^= 0xC0FFEEBADC0DEull;
     }
-    CacheShard &sh = shards[key % kCacheShards];
-    {
-        std::lock_guard<std::mutex> lk(sh.mtx);
-        CacheEntry &e = sh.map[key];
-        e.art = std::move(art);
-        e.checksum = sum;
-        e.failed = false;
-    }
+    slot->art = std::move(*art);
+    flight.publish(slot);
     ++cache_stats.compiles;
     obs::count("cache.compiles");
-    sh.cv.notify_all();
-}
-
-void
-PldCompiler::publishFailure(uint64_t key)
-{
-    CacheShard &sh = shards[key % kCacheShards];
-    {
-        std::lock_guard<std::mutex> lk(sh.mtx);
-        sh.map[key].failed = true;
-    }
-    ++cache_stats.failures;
-    obs::count("cache.failures");
-    sh.cv.notify_all();
+    return {slot, &slot->art};
 }
 
 std::shared_ptr<OperatorArtifact>
@@ -396,18 +353,6 @@ PldCompiler::compileHwLadder(const ir::OperatorFn &fn, int page_id,
                              int generation)
 {
     const int base = generation * kFaultAttemptStride;
-    if (injector.fires(FaultKind::CompileThrow, fn.name, base)) {
-        Diagnostic d;
-        d.code = CompileCode::CompileException;
-        d.stage = CompileStage::Hls;
-        d.severity = DiagSeverity::Error;
-        d.op = fn.name;
-        d.page = page_id;
-        d.retriable = true;
-        d.detail = "injected mid-compile exception";
-        throw CompileError(std::move(d));
-    }
-
     OperatorOutcome outcome;
     outcome.op = fn.name;
 
@@ -427,7 +372,7 @@ PldCompiler::compileHwLadder(const ir::OperatorFn &fn, int page_id,
             // The paper's mixed mode (Sec 6.2): softcore-map this
             // one operator onto its page's overlay core; the rest of
             // the app stays on hardware pages.
-            auto art = compileSoftcore(fn, page_id, generation);
+            auto art = compileSoftcore(fn, page_id);
             art->effortUsed = effort;
             AttemptRecord rec;
             rec.step = step;
@@ -559,21 +504,8 @@ PldCompiler::compileHwLadder(const ir::OperatorFn &fn, int page_id,
 }
 
 std::shared_ptr<OperatorArtifact>
-PldCompiler::compileSoftcore(const ir::OperatorFn &fn, int page_id,
-                             int generation)
+PldCompiler::compileSoftcore(const ir::OperatorFn &fn, int page_id)
 {
-    if (injector.fires(FaultKind::CompileThrow, fn.name,
-                       generation * kFaultAttemptStride)) {
-        Diagnostic d;
-        d.code = CompileCode::CompileException;
-        d.stage = CompileStage::Hls;
-        d.severity = DiagSeverity::Error;
-        d.op = fn.name;
-        d.page = page_id;
-        d.retriable = true;
-        d.detail = "injected mid-compile exception";
-        throw CompileError(std::move(d));
-    }
     auto art = std::make_shared<OperatorArtifact>();
     art->name = fn.name;
     art->irHash = fn.contentHash();
@@ -742,15 +674,14 @@ PldCompiler::build(const ir::Graph &g, OptLevel level,
 
     // ---- per-operator compilation (parallel, cached) -------------
     // Each operator writes only its own out.ops slot; cache traffic
-    // goes through the sharded lookup/publish protocol, so there is
-    // no coarse compile-section mutex and nested parallelism (pages
-    // x P&R threads) composes through the shared ThreadBudget.
+    // goes through the sharded single-flight table, so there is no
+    // coarse compile-section mutex and nested parallelism (pages x
+    // P&R threads) composes through the shared ThreadBudget.
     //
-    // A compile that throws must never strand cache waiters: the
-    // FailureSentinel guard publishes a failure marker on the way
-    // out of scope unless the compile completed, and the catch
-    // blocks turn the exception into a failed OperatorOutcome
-    // instead of letting it escape into the thread pool.
+    // A compile that throws fails its cache claim on the way out
+    // (waiters are never stranded), and the catch blocks turn the
+    // exception into a failed OperatorOutcome instead of letting it
+    // escape into the thread pool.
     out.ops.resize(g.ops.size());
     // Per-op spans parent to the build span by token: pool workers'
     // own span stacks are empty (or stale), and lease grants vary
@@ -770,55 +701,35 @@ PldCompiler::build(const ir::Graph &g, OptLevel level,
             tgt = fn.pragma.target;
 
         try {
-            std::shared_ptr<OperatorArtifact> art;
-            uint64_t key = 0;
-            int gen = 0;
-            if (!monolithic) {
-                key = cacheKey(fn, tgt, page_of[oi], true);
-                art = lookup(key, eff, &gen);
-            }
-
-            bool cached = (art != nullptr);
-            if (!art) {
-                if (monolithic) {
-                    // Bare kernel netlist for stitching; the
-                    // monolithic p&r happens below.
-                    art = std::make_shared<OperatorArtifact>();
-                    art->name = fn.name;
-                    art->irHash = fn.contentHash();
-                    art->target = ir::Target::HW;
-                    ThreadCpuStopwatch stage;
-                    auto hr = hls::compileOperator(fn, false);
-                    art->net = std::move(hr.net);
-                    art->perf = hr.perf;
-                    art->outcome.status.merge(hr.status);
-                    art->times.hls = stage.seconds();
-                } else {
-                    FailureSentinel guard{this, key, true};
-                    if (tgt == ir::Target::HW) {
-                        art = compileHwLadder(fn, page_of[oi],
-                                              plan.promo[oi], eff,
-                                              gen);
-                    } else {
-                        art = compileSoftcore(fn, page_of[oi], gen);
-                    }
-                    guard.armed = false;
-                    publish(key, art, gen);
+            if (monolithic) {
+                // Bare kernel netlist for stitching; the monolithic
+                // p&r happens below.
+                OperatorArtifact &art = out.ops[oi];
+                art.name = fn.name;
+                art.irHash = fn.contentHash();
+                art.target = ir::Target::HW;
+                art.page = page_of[oi];
+                ThreadCpuStopwatch stage;
+                auto hr = hls::compileOperator(fn, false);
+                art.net = std::move(hr.net);
+                art.perf = hr.perf;
+                art.outcome.status.merge(hr.status);
+                art.times.hls = stage.seconds();
+            } else {
+                bool cached = false;
+                out.ops[oi] = *artifact(fn, tgt, page_of[oi],
+                                        plan.promo[oi], eff, &cached);
+                out.ops[oi].fromCache = cached;
+                if (cached) {
+                    // Which thread wins the compile-vs-wait race for
+                    // a shared key is scheduling, so the per-op hit
+                    // marker is non-structural; the counter totals
+                    // are still deterministic.
+                    obs::instant("sched", "cache.hit",
+                                 /*structural=*/false)
+                        .arg("op", fn.name);
                 }
             }
-            out.ops[oi] = *art;
-            out.ops[oi].fromCache = cached;
-            if (cached) {
-                // Which thread wins the compile-vs-wait race for a
-                // shared key is scheduling, so the per-op hit marker
-                // is non-structural; the counter totals above are
-                // still deterministic.
-                obs::instant("sched", "cache.hit",
-                             /*structural=*/false)
-                    .arg("op", fn.name);
-            }
-            if (monolithic)
-                out.ops[oi].page = page_of[oi];
         } catch (const CompileError &ce) {
             OperatorOutcome bad;
             bad.op = fn.name;
@@ -1022,17 +933,7 @@ PldCompiler::build(const ir::Graph &g, OptLevel level,
         out.bindings.push_back(std::move(b));
     }
 
-    // Stage-time gauges for the benches, then the per-build snapshot
-    // AppBuild::report carries. Gauges describe the *latest* build;
-    // the snapshot is this build's delta.
-    obs::gauge("pld.wall.hls", out.wallTimes.hls);
-    obs::gauge("pld.wall.syn", out.wallTimes.syn);
-    obs::gauge("pld.wall.pnr", out.wallTimes.pnr);
-    obs::gauge("pld.wall.bitgen", out.wallTimes.bitgen);
-    obs::gauge("pld.cpu.hls", out.cpuTimes.hls);
-    obs::gauge("pld.cpu.syn", out.cpuTimes.syn);
-    obs::gauge("pld.cpu.pnr", out.cpuTimes.pnr);
-    obs::gauge("pld.cpu.bitgen", out.cpuTimes.bitgen);
+    // The per-build telemetry snapshot AppBuild::report carries.
     out.report.metrics = obs::endWindow(window);
     return out;
 }
@@ -1081,20 +982,8 @@ PldCompiler::buildSwapArtifact(const ir::Graph &g,
     // Recompile — or cache-hit, for an unchanged operator — pinned
     // to the current page: promo = -1, because a hot swap must not
     // relocate the page out from under the running system.
-    uint64_t key = cacheKey(fn, tgt, page_id, true);
-    int gen = 0;
-    auto art = lookup(key, opts.effort, &gen);
-    sa.fromCache = art != nullptr;
-    if (!art) {
-        FailureSentinel guard{this, key, true};
-        if (tgt == ir::Target::HW)
-            art = compileHwLadder(fn, page_id, /*promo_page=*/-1,
-                                  opts.effort, gen);
-        else
-            art = compileSoftcore(fn, page_id, gen);
-        guard.armed = false;
-        publish(key, art, gen);
-    }
+    auto art = artifact(fn, tgt, page_id, /*promo_page=*/-1,
+                        opts.effort, &sa.fromCache);
     sa.outcome = art->outcome;
 
     sys::PageBinding nb;
@@ -1113,20 +1002,10 @@ PldCompiler::buildSwapArtifact(const ir::Graph &g,
 
     // Quarantine fallback: the -O0 softcore image of the same
     // function, cached like any other artifact.
-    std::shared_ptr<OperatorArtifact> fb;
-    if (art->target == ir::Target::RISCV) {
-        fb = art;
-    } else {
-        uint64_t fkey = cacheKey(fn, ir::Target::RISCV, page_id, true);
-        int fgen = 0;
-        fb = lookup(fkey, opts.effort, &fgen);
-        if (!fb) {
-            FailureSentinel guard{this, fkey, true};
-            fb = compileSoftcore(fn, page_id, fgen);
-            guard.armed = false;
-            publish(fkey, fb, fgen);
-        }
-    }
+    auto fb = art->target == ir::Target::RISCV
+                  ? art
+                  : artifact(fn, ir::Target::RISCV, page_id, -1,
+                             opts.effort);
     nb.hasFallback = true;
     nb.fallbackElf = fb->elf;
     sa.binding = std::move(nb);
@@ -1209,10 +1088,9 @@ PldCompiler::packTenantApps(const std::vector<TenantAppRef> &apps)
         // Guarantee a quarantine fallback on every binding: the
         // fault-contained scheduler depends on a hostile page being
         // pinnable to a softcore image of the same function. The
-        // on-demand compile claims a cache slot like any other, so
-        // it carries the same FailureSentinel — concurrent builds
-        // waiting on the key must wake even if this compile throws
-        // (it rejects the tenant instead of propagating).
+        // on-demand compile goes through the cache like any other,
+        // so a throw fails its claim (waiting builds re-claim) and
+        // rejects the tenant instead of propagating.
         bool fallbacks_ok = true;
         for (auto &b : spec.bindings) {
             if (b.hasFallback)
@@ -1225,28 +1103,18 @@ PldCompiler::packTenantApps(const std::vector<TenantAppRef> &apps)
             }
             const ir::OperatorFn &fn =
                 app.graph->ops[static_cast<size_t>(b.opIdx)].fn;
-            uint64_t fkey =
-                cacheKey(fn, ir::Target::RISCV, b.pageId, true);
-            int fgen = 0;
-            auto fb = lookup(fkey, opts.effort, &fgen);
-            if (!fb) {
-                FailureSentinel guard{this, fkey, true};
-                try {
-                    fb = compileSoftcore(fn, b.pageId, fgen);
-                } catch (const CompileError &ce) {
-                    // guard publishes the failure marker on unwind.
-                    reject("tenant '" + app.name +
-                           "' fallback compile failed for operator "
-                           "'" +
-                           fn.name + "': " + ce.diag().render());
-                    fallbacks_ok = false;
-                    break;
-                }
-                guard.armed = false;
-                publish(fkey, fb, fgen);
+            try {
+                b.fallbackElf =
+                    artifact(fn, ir::Target::RISCV, b.pageId, -1,
+                             opts.effort)->elf;
+            } catch (const CompileError &ce) {
+                reject("tenant '" + app.name +
+                       "' fallback compile failed for operator '" +
+                       fn.name + "': " + ce.diag().render());
+                fallbacks_ok = false;
+                break;
             }
             b.hasFallback = true;
-            b.fallbackElf = fb->elf;
         }
         if (!fallbacks_ok)
             continue;

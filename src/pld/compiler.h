@@ -27,17 +27,14 @@
 #ifndef PLD_PLD_COMPILER_H
 #define PLD_PLD_COMPILER_H
 
-#include <array>
 #include <atomic>
-#include <condition_variable>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
 #include "common/diag.h"
 #include "common/fault.h"
+#include "common/singleflight.h"
 #include "fabric/device.h"
 #include "obs/metrics.h"
 #include "hls/compiler.h"
@@ -239,8 +236,8 @@ struct CacheStats
     std::atomic<uint64_t> misses{0};
     /** Artifacts actually compiled (never exceeds misses). */
     std::atomic<uint64_t> compiles{0};
-    /** In-flight compiles that threw; each published a failure
-     * sentinel so waiters woke instead of hanging. At quiescence
+    /** In-flight compiles that threw; each failed its claim so one
+     * waiter re-claimed instead of all hanging. At quiescence
      * compiles + failures == misses. */
     std::atomic<uint64_t> failures{0};
     /** Checksum-mismatch evictions; each corrupt entry is detected
@@ -388,60 +385,13 @@ class PldCompiler
     void clearCache();
 
   private:
-    /**
-     * One artifact slot. `art == nullptr` while the claiming thread
-     * is still compiling; later arrivals wait on the shard's
-     * condition variable instead of compiling the artifact again.
-     * If the claimant throws, it publishes `failed = true` (via an
-     * RAII sentinel) so exactly one waiter wakes, re-claims the
-     * slot, and recompiles — waiters never hang on a dead compile.
-     * `generation` counts claims, giving the fault injector a
-     * deterministic per-key attempt coordinate; `checksum` detects
-     * corrupted artifacts on lookup.
-     */
-    struct CacheEntry
+    /** A published cache entry: the artifact plus the checksum taken
+     * when it was published, re-verified on every hit. */
+    struct CachedArtifact
     {
-        std::shared_ptr<OperatorArtifact> art;
-        bool failed = false;
-        int generation = 0;
+        OperatorArtifact art;
         uint64_t checksum = 0;
     };
-
-    /**
-     * RAII guard for every *claimed* cache slot: construction arms
-     * it right after a lookup() miss, and unless disarmed after a
-     * successful publish(), destruction publishes the failure
-     * sentinel — so an exception anywhere between claim and publish
-     * wakes exactly one waiter to re-claim instead of stranding them
-     * all. Every compile-and-publish path must use it: build()'s
-     * per-operator compiles, buildSwapArtifact()'s recompile and
-     * fallback, and packTenantApps()'s on-demand fallback compiles.
-     */
-    struct FailureSentinel
-    {
-        PldCompiler *pc;
-        uint64_t key;
-        bool armed;
-        ~FailureSentinel()
-        {
-            if (armed)
-                pc->publishFailure(key);
-        }
-    };
-
-    /**
-     * The cache is sharded by key so concurrent builds (pages in
-     * parallel, multiple builds through one compiler) do not
-     * serialize on one coarse mutex; a shard lock covers only the
-     * map lookup/insert, never a compile.
-     */
-    struct CacheShard
-    {
-        std::mutex mtx;
-        std::condition_variable cv;
-        std::map<uint64_t, CacheEntry> map;
-    };
-    static constexpr size_t kCacheShards = 16;
 
     /** Deterministic page plan: initial assignment plus a reserved
      * promotion target per operator (-1 when none is free). */
@@ -454,9 +404,8 @@ class PldCompiler
     /**
      * The fault-tolerant page compile: run the retry ladder until an
      * attempt succeeds or the softcore fallback completes. Throws
-     * CompileError only for mid-compile exceptions (including
-     * injected ones); every routing/timing failure is handled by
-     * climbing the ladder.
+     * only for mid-compile exceptions; every routing/timing failure
+     * is handled by climbing the ladder.
      */
     std::shared_ptr<OperatorArtifact>
     compileHwLadder(const ir::OperatorFn &fn, int page_id,
@@ -468,22 +417,21 @@ class PldCompiler
               double effort, int route_iters, int fault_attempt);
 
     std::shared_ptr<OperatorArtifact>
-    compileSoftcore(const ir::OperatorFn &fn, int page_id,
-                    int generation);
+    compileSoftcore(const ir::OperatorFn &fn, int page_id);
 
-    /** Cache lookup: returns the artifact (waiting out an in-flight
-     * compile if needed) or nullptr when this caller must compile
-     * and then publish() the result. Corrupt entries and degraded
-     * entries below @p effort are evicted and re-claimed; a failure
-     * sentinel is re-claimed by exactly one waiter. @p generation
-     * receives this claim's per-key ordinal. */
-    std::shared_ptr<OperatorArtifact>
-    lookup(uint64_t key, double effort, int *generation);
-    void publish(uint64_t key, std::shared_ptr<OperatorArtifact> art,
-                 int generation);
-    /** Publish a failure sentinel: wakes waiters so one re-claims
-     * the compile and the rest keep waiting. */
-    void publishFailure(uint64_t key);
+    /**
+     * The artifact for @p fn as @p target on page @p page_id, through
+     * the cache: a hit is shared; a miss claims the key, compiles (HW:
+     * the retry ladder with promotion target @p promo_page; RISCV: the
+     * softcore), checksums and publishes. Corrupt entries, and
+     * degraded ones below @p effort, are re-claimed. A throwing
+     * compile (an injected `throw` fault included) fails the claim,
+     * so one waiter re-claims, and the exception propagates.
+     * @p from_cache (optional) reports a hit.
+     */
+    std::shared_ptr<const OperatorArtifact>
+    artifact(const ir::OperatorFn &fn, ir::Target target, int page_id,
+             int promo_page, double effort, bool *from_cache = nullptr);
 
     /** Deterministic first-fit page assignment + promotion reserves. */
     PagePlan assignPages(const ir::Graph &g, OptLevel level) const;
@@ -491,7 +439,7 @@ class PldCompiler
     const fabric::Device &dev;
     CompileOptions opts;
     FaultInjector injector;
-    std::array<CacheShard, kCacheShards> shards;
+    SingleFlight<CachedArtifact> cache;
     CacheStats cache_stats;
 };
 

@@ -214,31 +214,26 @@ CompileService::serve(uint64_t key, const RequestOptions &opts,
 
     // Coalesce first — and wait OUTSIDE the trace lock, so a traced
     // claimant (which needs the lock exclusively) can always finish
-    // and wake its joiners.
-    if (coalescer_.enter(key) ==
-        Coalescer<ServiceResult>::Role::Joined) {
-        auto out = coalescer_.wait(key);
-        if (!out.reclaimed) {
-            ++stats_.coalesced;
-            std::shared_lock<std::shared_mutex> lk(traceMtx_);
-            obs::count("svc.request.coalesced");
-            return respond(*out.result, false, true);
-        }
-        // The claimant died mid-compile; this request re-claims and
-        // runs the claimant path below (the in-flight entry is still
-        // registered, so publish/fail land on the same waiters).
+    // and wake its joiners. A claim that is never published (an
+    // exception, a dead handler) wakes one joiner to re-claim.
+    auto flight = inflight_.acquire(key);
+    if (const auto &shared = flight.value()) {
+        ++stats_.coalesced;
+        std::shared_lock<std::shared_mutex> lk(traceMtx_);
+        obs::count("svc.request.coalesced");
+        return respond(*shared, false, true);
+    }
+    if (flight.waited()) {
+        // The claimant died mid-compile; this request re-claimed.
         ++stats_.reclaimed;
     }
 
     auto claimant = [&]() -> CompileResponse {
-        Coalescer<ServiceResult>::Sentinel sentinel(coalescer_, key);
-
         if (auto blob = store_.get(key)) {
             ++stats_.storeHits;
             auto res = std::make_shared<ServiceResult>();
             res->blob = std::move(*blob);
-            coalescer_.publish(key, res);
-            sentinel.disarm();
+            flight.publish(res);
             return respond(*res, true, false);
         }
 
@@ -260,8 +255,7 @@ CompileService::serve(uint64_t key, const RequestOptions &opts,
             res->diags.add(d);
             // Joiners share the rejection: they added no load, but
             // the request they joined was refused.
-            coalescer_.publish(key, res);
-            sentinel.disarm();
+            flight.publish(res);
             return respond(*res, false, false);
         }
         struct Release
@@ -301,8 +295,7 @@ CompileService::serve(uint64_t key, const RequestOptions &opts,
             ++stats_.failed;
             obs::count("svc.request.failed");
         }
-        coalescer_.publish(key, res);
-        sentinel.disarm();
+        flight.publish(res);
         return respond(*res, false, false);
     };
 
@@ -446,6 +439,7 @@ CompileService::statsText() const
        << "store.puts " << st.puts.load() << "\n"
        << "store.corrupt " << st.corrupt.load() << "\n"
        << "store.evictions " << st.evictions.load() << "\n"
+       << "store.oversize " << st.oversize.load() << "\n"
        << "store.io_errors " << st.ioErrors.load() << "\n"
        << "store.quarantined " << st.quarantined.load() << "\n"
        << "store.recency_rebuilt " << st.recencyRebuilt.load()

@@ -14,8 +14,8 @@
  *    at any thread count, so requests differing only in job count
  *    coalesce and share artifacts.
  *  - *coalesce*: N clients submitting the identical edit trigger one
- *    backend compile (Coalescer); joiners bypass admission entirely —
- *    they add no load.
+ *    backend compile (a retiring SingleFlight); joiners bypass
+ *    admission entirely — they add no load.
  *  - *store*: the persistent ArtifactStore serves warm-restart hits
  *    before the backend is consulted.
  *  - *admission*: at most maxExecuting requests compile concurrently;
@@ -44,9 +44,9 @@
 #include <shared_mutex>
 #include <string>
 
+#include "common/singleflight.h"
 #include "fabric/device.h"
 #include "pld/compiler.h"
-#include "svc/coalesce.h"
 #include "svc/store.h"
 #include "svc/wire.h"
 
@@ -164,7 +164,10 @@ class CompileService
     const fabric::Device &dev_;
     ServiceConfig cfg_;
     ArtifactStore store_;
-    Coalescer<ServiceResult> coalescer_;
+    /** Requests in flight. Results live in the store, so a key is
+     * retired as soon as no request holds or awaits it. */
+    SingleFlight<ServiceResult> inflight_{
+        SingleFlight<ServiceResult>::Retention::Retire};
     Admission admission_;
     ServiceStats stats_;
 
@@ -182,8 +185,8 @@ class CompileService
      * Per-request tracing quiesces the daemon: normal requests hold
      * this shared, a traced request holds it unique while it installs
      * a ScopedTracer (Tracer::install demands quiescence), runs, and
-     * writes the Chrome trace. Coalescer waits happen *outside* the
-     * lock so a traced claimant can always drain its joiners.
+     * writes the Chrome trace. Single-flight waits happen *outside*
+     * the lock so a traced claimant can always drain its joiners.
      */
     std::shared_mutex traceMtx_;
 

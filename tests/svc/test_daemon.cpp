@@ -21,7 +21,6 @@
 #include "fabric/device.h"
 #include "ir/builder.h"
 #include "svc/client.h"
-#include "svc/coalesce.h"
 #include "svc/server.h"
 #include "svc/service.h"
 
@@ -102,72 +101,6 @@ class DaemonTest : public ::testing::Test
     fabric::Device dev;
     ServiceConfig cfg;
 };
-
-// ---- coalescer unit behaviour ------------------------------------
-
-TEST(Coalescer, ClaimJoinPublish)
-{
-    Coalescer<int> c;
-    ASSERT_EQ(c.enter(1), Coalescer<int>::Role::Claimant);
-    ASSERT_EQ(c.enter(1), Coalescer<int>::Role::Joined);
-
-    std::thread waiter([&] {
-        auto out = c.wait(1);
-        EXPECT_FALSE(out.reclaimed);
-        ASSERT_NE(out.result, nullptr);
-        EXPECT_EQ(*out.result, 42);
-    });
-    c.publish(1, std::make_shared<const int>(42));
-    waiter.join();
-    EXPECT_EQ(c.inflightCount(), 0u);
-}
-
-TEST(Coalescer, FailWakesExactlyOneReclaimant)
-{
-    Coalescer<int> c;
-    ASSERT_EQ(c.enter(9), Coalescer<int>::Role::Claimant);
-    ASSERT_EQ(c.enter(9), Coalescer<int>::Role::Joined);
-    ASSERT_EQ(c.enter(9), Coalescer<int>::Role::Joined);
-
-    std::atomic<int> reclaims{0}, results{0};
-    auto waitOnce = [&] {
-        auto out = c.wait(9);
-        if (out.reclaimed) {
-            ++reclaims;
-            // The re-claimant finishes the job for everyone else.
-            c.publish(9, std::make_shared<const int>(7));
-        } else {
-            EXPECT_EQ(*out.result, 7);
-            ++results;
-        }
-    };
-    std::thread w1(waitOnce), w2(waitOnce);
-    // The claimant dies without a result (the RAII sentinel path).
-    c.fail(9);
-    w1.join();
-    w2.join();
-    EXPECT_EQ(reclaims.load(), 1) << "exactly one waiter re-claims";
-    EXPECT_EQ(results.load(), 1);
-}
-
-TEST(Coalescer, SentinelFiresOnUnwindOnly)
-{
-    Coalescer<int> c;
-    c.enter(3);
-    {
-        Coalescer<int>::Sentinel s(c, 3);
-        c.publish(3, std::make_shared<const int>(1));
-        s.disarm();
-    }
-    // Disarmed: the publish stood; a new enter claims fresh.
-    EXPECT_EQ(c.enter(3), Coalescer<int>::Role::Claimant);
-    {
-        Coalescer<int>::Sentinel s(c, 3);
-        // no publish: simulated throw
-    }
-    EXPECT_EQ(c.enter(3), Coalescer<int>::Role::Claimant)
-        << "failed claim with no waiters must retire the entry";
-}
 
 // ---- service behaviour -------------------------------------------
 
@@ -374,6 +307,22 @@ TEST_F(DaemonTest, PerRequestTraceFileWritten)
     EXPECT_NE(text.find("traceEvents"), std::string::npos);
     EXPECT_NE(text.find("pld.op"), std::string::npos)
         << "the per-request trace must contain compile spans";
+}
+
+TEST_F(DaemonTest, StatsReportOversizeRejections)
+{
+    // A blob larger than the whole store budget fails put(): the
+    // request is still served from memory, and `pldc stats` must say
+    // why the artifact was not stored.
+    cfg.storeBudgetBytes = 16;
+    CompileService svcc(dev, cfg);
+    CompileResponse r = svcc.compile(makeRequest(1.5));
+    EXPECT_EQ(r.status, RespStatus::Ok);
+    std::string stats = svcc.statsText();
+    EXPECT_NE(stats.find("store.oversize 1\n"), std::string::npos)
+        << stats;
+    EXPECT_NE(stats.find("store.io_errors 0\n"), std::string::npos)
+        << stats;
 }
 
 // ---- socket-level tests ------------------------------------------
