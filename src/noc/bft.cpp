@@ -178,7 +178,6 @@ BftNoc::stepCycle()
         const Switch &ps = old[leafParent(li)];
         const Flit &arriving = ps.downOut[li % 2];
         if (arriving.valid) {
-            pld_assert(arriving.dstLeaf == li || true, "routing");
             if (arriving.dstLeaf != static_cast<uint16_t>(li)) {
                 // Deflected into the wrong leaf: bounce it back.
                 Flit f = arriving;
@@ -269,8 +268,6 @@ BftNoc::stepCycle()
                 pld_panic("deflection invariant violated");
         }
     }
-
-    ++cycle_;
 }
 
 bool
@@ -316,26 +313,6 @@ BftNoc::leafTransitQuiet(int leaf) const
     const Leaf &l = leaves[static_cast<size_t>(leaf)];
     return !l.reinsert.valid && l.pendingConfig.empty() &&
            l.configInflight == 0;
-}
-
-uint64_t
-BftNoc::inFlightFlits() const
-{
-    uint64_t n = 0;
-    for (const auto &s : switches) {
-        n += s.upOut.valid ? 1 : 0;
-        n += s.downOut[0].valid ? 1 : 0;
-        n += s.downOut[1].valid ? 1 : 0;
-    }
-    for (const auto &leaf : leaves) {
-        n += leaf.reinsert.valid ? 1 : 0;
-        n += leaf.pendingConfig.size();
-        for (const auto &f : leaf.skid)
-            n += f.valid ? 1 : 0;
-        for (const auto &f : leaf.outFifos)
-            n += f.size();
-    }
-    return n;
 }
 
 bool

@@ -125,19 +125,7 @@ class BftNoc
      */
     bool leafTransitQuiet(int leaf) const;
 
-    /**
-     * Flits currently in flight: valid flits held in switch
-     * registers, leaf skid buffers, re-insertion slots, and
-     * injection FIFOs, plus pending config packets. Zero iff
-     * idle(). The tenant scheduler's checkpoint drain reports this
-     * as its remaining-work gauge.
-     */
-    uint64_t inFlightFlits() const;
-
     const NocStats &stats() const { return stats_; }
-
-    /** Cycles stepped so far. */
-    uint64_t cycle() const { return cycle_; }
 
   private:
     struct Leaf
@@ -178,8 +166,6 @@ class BftNoc
         int parent = -1;   // -1 = root
         int left = -1, right = -1; // child switch ids; -1 = leaf level
         // Link registers (current cycle contents).
-        Flit upIn[2];   // from children
-        Flit downIn;    // from parent
         Flit upOut;     // to parent
         Flit downOut[2];// to children
     };
@@ -197,7 +183,6 @@ class BftNoc
     std::vector<Flit> injectScratch;
     std::vector<std::unique_ptr<dataflow::StreamPort>> portWrappers;
     NocStats stats_;
-    uint64_t cycle_ = 0;
 };
 
 } // namespace noc

@@ -186,6 +186,39 @@ artifactChecksum(const OperatorArtifact &a)
     return h.digest();
 }
 
+/**
+ * Runtime binding of operator @p op_idx, implemented by @p a, to page
+ * @p page_id. A @p paged (overlay) binding also carries the
+ * partial-image metadata for the hot-swap runtime: the image size
+ * (how many CRC-framed config packets a reconfiguration streams) and
+ * the content hash seeding them. build() and buildSwapArtifact() both
+ * bind through here because the two must agree bit for bit: SystemSim
+ * keeps a softcore page's execution state across a swap only when the
+ * new image hash equals the running one.
+ */
+sys::PageBinding
+pageBinding(const OperatorArtifact &a, int op_idx, int page_id,
+            bool paged)
+{
+    sys::PageBinding b;
+    b.opIdx = op_idx;
+    b.pageId = page_id;
+    if (a.target == ir::Target::RISCV) {
+        b.impl = sys::PageImpl::Softcore;
+        b.elf = a.elf;
+    } else {
+        b.impl = sys::PageImpl::Hw;
+        b.cyclesPerOp = a.perf.cyclesPerOp();
+    }
+    if (paged) {
+        b.imageBytes = b.impl == sys::PageImpl::Softcore
+                           ? a.elf.footprintBytes()
+                           : a.pnr.bits.bytes;
+        b.imageHash = artifactChecksum(a);
+    }
+    return b;
+}
+
 /** splitmix64 step: derive the fresh-seed rung's seed. */
 uint64_t
 deriveSeed(uint64_t seed)
@@ -907,30 +940,13 @@ PldCompiler::build(const ir::Graph &g, OptLevel level,
     out.sysCfg = sys::SystemConfig{};
     out.sysCfg.useNoc = !monolithic;
     for (size_t oi = 0; oi < g.ops.size(); ++oi) {
-        sys::PageBinding b;
-        b.opIdx = static_cast<int>(oi);
         // Non-monolithic bindings follow the artifact's actual page:
         // a promoted operator runs on its promotion target, not the
         // page the first-fit plan chose.
-        b.pageId = monolithic ? static_cast<int>(oi)
-                              : out.ops[oi].page;
-        if (out.ops[oi].target == ir::Target::RISCV) {
-            b.impl = sys::PageImpl::Softcore;
-            b.elf = out.ops[oi].elf;
-        } else {
-            b.impl = sys::PageImpl::Hw;
-            b.cyclesPerOp = out.ops[oi].perf.cyclesPerOp();
-        }
-        if (!monolithic) {
-            // Partial-image metadata for the hot-swap runtime: how
-            // many CRC-framed config packets a reconfiguration of
-            // this page streams, and the content hash seeding them.
-            b.imageBytes = b.impl == sys::PageImpl::Softcore
-                               ? out.ops[oi].elf.footprintBytes()
-                               : out.ops[oi].pnr.bits.bytes;
-            b.imageHash = artifactChecksum(out.ops[oi]);
-        }
-        out.bindings.push_back(std::move(b));
+        int page_id = monolithic ? static_cast<int>(oi)
+                                 : out.ops[oi].page;
+        out.bindings.push_back(pageBinding(
+            out.ops[oi], static_cast<int>(oi), page_id, !monolithic));
     }
 
     // The per-build telemetry snapshot AppBuild::report carries.
@@ -986,19 +1002,7 @@ PldCompiler::buildSwapArtifact(const ir::Graph &g,
                         opts.effort, &sa.fromCache);
     sa.outcome = art->outcome;
 
-    sys::PageBinding nb;
-    nb.opIdx = oi;
-    nb.pageId = page_id;
-    if (art->target == ir::Target::RISCV) {
-        nb.impl = sys::PageImpl::Softcore;
-        nb.elf = art->elf;
-        nb.imageBytes = art->elf.footprintBytes();
-    } else {
-        nb.impl = sys::PageImpl::Hw;
-        nb.cyclesPerOp = art->perf.cyclesPerOp();
-        nb.imageBytes = art->pnr.bits.bytes;
-    }
-    nb.imageHash = artifactChecksum(*art);
+    sa.binding = pageBinding(*art, oi, page_id, /*paged=*/true);
 
     // Quarantine fallback: the -O0 softcore image of the same
     // function, cached like any other artifact.
@@ -1006,9 +1010,8 @@ PldCompiler::buildSwapArtifact(const ir::Graph &g,
                   ? art
                   : artifact(fn, ir::Target::RISCV, page_id, -1,
                              opts.effort);
-    nb.hasFallback = true;
-    nb.fallbackElf = fb->elf;
-    sa.binding = std::move(nb);
+    sa.binding.hasFallback = true;
+    sa.binding.fallbackElf = fb->elf;
     return sa;
 }
 

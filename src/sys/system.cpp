@@ -14,6 +14,46 @@ using dataflow::FifoWritePort;
 using dataflow::WordFifo;
 using interp::RunStatus;
 
+namespace {
+
+/** Stream ports of each NoC leaf interface, and their FIFO depth. */
+constexpr int kNocPortsPerLeaf = 6;
+constexpr size_t kNocFifoDepth = 16;
+/** Direct-link FIFO depth for monolithic designs. */
+constexpr size_t kDirectFifoDepth = 64;
+/** First NoC leaf used for DMA endpoints. */
+constexpr int kDmaLeafBase = 24;
+
+// Hot-swap engine (DESIGN.md §11).
+/** Payload bytes per CRC-framed config packet. */
+constexpr size_t kSwapPacketBytes = 128;
+/** Cycles per packet: one 32-bit config word per cycle over the
+ * ICAP-style channel. */
+constexpr uint64_t kSwapPacketCycles = kSwapPacketBytes / 4;
+/** Retransmissions allowed per packet before the attempt aborts. */
+constexpr int kSwapMaxRetransmits = 4;
+/** Swap attempts (stream + activate) before quarantine. */
+constexpr int kSwapMaxAttempts = 2;
+/** Cycles the sender waits for an ack before declaring a drop. */
+constexpr uint64_t kSwapAckTimeoutCycles = 16;
+/** Base retransmit backoff in cycles (doubles per retry). */
+constexpr uint64_t kSwapBackoffBase = 2;
+/** Cycles to wait for the target leaf to quiesce before abort. */
+constexpr uint64_t kSwapDrainTimeoutCycles = 100000;
+/** Cycles from last packet accepted to the page reporting up. */
+constexpr uint64_t kSwapActivationCycles = 8;
+
+/** Config packets streamed for an image of @p bytes (0 = unknown
+ * size, streamed as one packet). */
+uint64_t
+imagePackets(uint64_t bytes)
+{
+    return std::max<uint64_t>(
+        1, (bytes + kSwapPacketBytes - 1) / kSwapPacketBytes);
+}
+
+} // namespace
+
 const char *
 swapOutcomeName(SwapOutcome o)
 {
@@ -48,64 +88,54 @@ SystemSim::SystemSim(const ir::Graph &g,
         buildNocSystem();
     else
         buildDirectSystem();
-
-    // Instantiate execution contexts now that ports exist.
+    for (auto &page : pages)
+        restartPage(page, 0);
 }
 
 void
 SystemSim::buildNocSystem()
 {
-    int needed = cfg.dmaLeafBase +
+    int needed = kDmaLeafBase +
                  static_cast<int>(g.extInputs.size() +
                                   g.extOutputs.size());
     net = std::make_unique<noc::BftNoc>(std::max(32, needed),
-                                        cfg.nocPortsPerLeaf,
-                                        cfg.nocFifoDepth);
+                                        kNocPortsPerLeaf, kNocFifoDepth);
 
     // Operator ports hang off their page's leaf interface.
     for (size_t oi = 0; oi < g.ops.size(); ++oi) {
         const auto &fn = g.ops[oi].fn;
         int leaf = pages[oi].binding.pageId;
         pld_assert(static_cast<int>(fn.ports.size()) <=
-                       cfg.nocPortsPerLeaf,
+                       kNocPortsPerLeaf,
                    "%s has more ports than the leaf interface",
                    fn.name.c_str());
-        std::vector<dataflow::StreamPort *> ports;
         for (size_t pi = 0; pi < fn.ports.size(); ++pi) {
-            if (fn.ports[pi].dir == ir::PortDir::In)
-                ports.push_back(net->inPort(leaf, int(pi)));
-            else
-                ports.push_back(net->outPort(leaf, int(pi)));
-        }
-        pages[oi].ports = ports;
-        if (pages[oi].binding.impl == PageImpl::Hw) {
-            pages[oi].exec = std::make_unique<interp::OperatorExec>(
-                fn, ports);
-        } else {
-            pages[oi].core = std::make_unique<rv32::Core>(
-                pages[oi].binding.elf, ports);
+            pages[oi].ports.push_back(
+                fn.ports[pi].dir == ir::PortDir::In
+                    ? net->inPort(leaf, int(pi))
+                    : net->outPort(leaf, int(pi)));
         }
     }
 
     // DMA endpoints.
     for (size_t i = 0; i < g.extInputs.size(); ++i) {
-        int leaf = cfg.dmaLeafBase + static_cast<int>(i);
+        int leaf = kDmaLeafBase + static_cast<int>(i);
         extInPorts.push_back(net->outPort(leaf, 0));
     }
     for (size_t j = 0; j < g.extOutputs.size(); ++j) {
-        int leaf = cfg.dmaLeafBase +
+        int leaf = kDmaLeafBase +
                    static_cast<int>(g.extInputs.size() + j);
         extOutPorts.push_back(net->inPort(leaf, 0));
     }
 
     // Linking: the loader sends config packets from the DMA leaf
     // programming every producer's destination register (Sec 4.3).
-    int linker_leaf = cfg.dmaLeafBase;
+    int linker_leaf = kDmaLeafBase;
     int link_idx = 0;
     for (const auto &l : g.links) {
         int src_leaf, src_port;
         if (l.src.isExternal()) {
-            src_leaf = cfg.dmaLeafBase + l.src.port;
+            src_leaf = kDmaLeafBase + l.src.port;
             src_port = 0;
         } else {
             src_leaf = pages[l.src.op].binding.pageId;
@@ -113,7 +143,7 @@ SystemSim::buildNocSystem()
         }
         int dst_leaf, dst_port;
         if (l.dst.isExternal()) {
-            dst_leaf = cfg.dmaLeafBase +
+            dst_leaf = kDmaLeafBase +
                        static_cast<int>(g.extInputs.size()) +
                        l.dst.port;
             dst_port = 0;
@@ -140,12 +170,11 @@ SystemSim::buildDirectSystem()
     for (const auto &l : g.links) {
         bool external = l.src.isExternal() || l.dst.isExternal();
         directFifos.push_back(std::make_unique<WordFifo>(
-            external ? 0 : cfg.directFifoDepth));
+            external ? 0 : kDirectFifoDepth));
     }
 
     for (size_t oi = 0; oi < g.ops.size(); ++oi) {
         const auto &fn = g.ops[oi].fn;
-        std::vector<dataflow::StreamPort *> ports;
         for (size_t pi = 0; pi < fn.ports.size(); ++pi) {
             ir::Endpoint ep{static_cast<int>(oi),
                             static_cast<int>(pi)};
@@ -158,15 +187,7 @@ SystemSim::buildDirectSystem()
                 portStorage.push_back(std::make_unique<FifoWritePort>(
                     *directFifos[li]));
             }
-            ports.push_back(portStorage.back().get());
-        }
-        pages[oi].ports = ports;
-        if (pages[oi].binding.impl == PageImpl::Hw) {
-            pages[oi].exec = std::make_unique<interp::OperatorExec>(
-                fn, ports);
-        } else {
-            pages[oi].core = std::make_unique<rv32::Core>(
-                pages[oi].binding.elf, ports);
+            pages[oi].ports.push_back(portStorage.back().get());
         }
     }
 
@@ -221,32 +242,38 @@ SystemSim::rearmPages()
     // into the next batch and consumes the wrong number of words.
     // Re-arming from page.binding keeps a quarantined page pinned to
     // its softcore image — the binding was rewritten at quarantine.
-    for (size_t i = 0; i < pages.size(); ++i) {
-        auto &page = pages[i];
-        if (!page.done && !(page.restartable && page.starved))
-            continue;
-        page.done = false;
-        page.budget = 0;
-        page.starved = false;
-        if (i < pageDoneMarked.size())
-            pageDoneMarked[i] = false;
-        if (page.exec)
-            page.exec->reset();
-        if (page.core)
-            page.core = std::make_unique<rv32::Core>(page.binding.elf,
-                                                     page.ports);
+    for (auto &page : pages) {
+        if (page.done || (page.restartable && page.starved))
+            restartPage(page, 0);
     }
+}
+
+void
+SystemSim::restartPage(Page &page, uint64_t run_cycle)
+{
+    if (page.binding.impl == PageImpl::Hw) {
+        page.core.reset();
+        page.exec = std::make_unique<interp::OperatorExec>(*page.fn,
+                                                           page.ports);
+    } else {
+        page.exec.reset();
+        page.core = std::make_unique<rv32::Core>(page.binding.elf,
+                                                 page.ports);
+    }
+    page.budget = 0;
+    page.done = false;
+    page.starved = false;
+    page.doneMarked = false;
+    page.coreSyncRun = run_cycle;
+    page.coreSyncCycles = 0;
 }
 
 bool
 SystemSim::stepPages(uint64_t cycle)
 {
     bool all_done = true;
-    if (pageDoneMarked.size() != pages.size())
-        pageDoneMarked.assign(pages.size(), false);
-    size_t page_idx = static_cast<size_t>(-1);
-    for (auto &page : pages) {
-        ++page_idx;
+    for (size_t page_idx = 0; page_idx < pages.size(); ++page_idx) {
+        Page &page = pages[page_idx];
         if (page.done)
             continue;
         if (page.paused) {
@@ -305,8 +332,8 @@ SystemSim::stepPages(uint64_t cycle)
                 }
             }
         }
-        if (page.done && !pageDoneMarked[page_idx]) {
-            pageDoneMarked[page_idx] = true;
+        if (page.done && !page.doneMarked) {
+            page.doneMarked = true;
             obs::instant("sys", "sys.page.done")
                 .arg("op", static_cast<int64_t>(page_idx))
                 .arg("cycle", static_cast<int64_t>(cycle));
@@ -402,12 +429,10 @@ SystemSim::runInternal(uint64_t max_cycles, bool slice)
 
         // DMA: move host words.
         for (size_t i = 0; i < extInPorts.size(); ++i) {
-            for (int w = 0; w < cfg.dmaWordsPerCycle; ++w) {
-                if (hostInPos[i] < hostIn[i].size() &&
-                    extInPorts[i]->canWrite()) {
-                    extInPorts[i]->write(hostIn[i][hostInPos[i]++]);
-                    ++words_in;
-                }
+            if (hostInPos[i] < hostIn[i].size() &&
+                extInPorts[i]->canWrite()) {
+                extInPorts[i]->write(hostIn[i][hostInPos[i]++]);
+                ++words_in;
             }
             if (in_flow_open[i] &&
                 hostInPos[i] == hostIn[i].size()) {
@@ -427,6 +452,13 @@ SystemSim::runInternal(uint64_t max_cycles, bool slice)
         bool pages_done = stepPages(cycle);
         if (net)
             net->stepCycle();
+        // A starved restartable page was quiescent only on the inputs
+        // it saw before this cycle's NoC step, which may have just
+        // delivered its next word.
+        if (pages_done) {
+            for (const Page &page : pages)
+                pages_done &= page.done || !anyInputReadable(page);
+        }
 
         if (pages_done && !swapActive()) {
             if (!swapQueue.empty()) {
@@ -525,30 +557,17 @@ SystemSim::pageBinding(int page_id) const
 }
 
 uint64_t
-SystemSim::packetCycles() const
-{
-    // One 32-bit config word per cycle over the ICAP-style channel.
-    return std::max<uint64_t>(1, cfg.swapPacketBytes / 4);
-}
-
-uint64_t
 SystemSim::watchdogBudget() const
 {
-    if (cfg.swapWatchdogCycles)
-        return cfg.swapWatchdogCycles;
-    // Auto: generous enough that a fault-free stream — even one that
+    // Generous enough that a fault-free stream — even one that
     // retransmits every packet to the limit — never trips it, so the
     // watchdog only ever reports genuine hangs.
-    uint64_t max_backoff =
-        cfg.swapBackoffBase
-        << std::min<uint64_t>(
-               static_cast<uint64_t>(cfg.swapMaxRetransmits), 10);
-    uint64_t per_tx = 1 + packetCycles() + cfg.swapAckTimeoutCycles +
-                      max_backoff;
-    uint64_t per_packet =
-        per_tx * static_cast<uint64_t>(cfg.swapMaxRetransmits + 1);
-    return swap.packetsTotal * per_packet + cfg.swapDmaStallCycles +
-           cfg.swapActivationCycles + 256;
+    uint64_t max_backoff = kSwapBackoffBase << kSwapMaxRetransmits;
+    uint64_t per_tx =
+        1 + kSwapPacketCycles + kSwapAckTimeoutCycles + max_backoff;
+    uint64_t per_packet = per_tx * (kSwapMaxRetransmits + 1);
+    return swap.packetsTotal * per_packet + kSwapDmaStallCycles +
+           kSwapActivationCycles + 256;
 }
 
 SwapResult
@@ -559,14 +578,20 @@ SystemSim::swapPage(int page_id, const PageBinding &nb,
     if (new_fn)
         fn_copy = std::make_unique<ir::OperatorFn>(*new_fn);
     beginSwap(page_id, nb, std::move(fn_copy), false);
-    uint64_t guard = 0;
+    driveSwap();
+    return swapLog.back();
+}
+
+uint64_t
+SystemSim::driveSwap()
+{
+    uint64_t cycles = 0;
     while (swapActive()) {
         stepSwap(0);
-        if (net)
-            net->stepCycle();
-        pld_assert(++guard < 100000000ull, "swap never terminated");
+        net->stepCycle();
+        pld_assert(++cycles < 100000000ull, "swap never terminated");
     }
-    return swapLog.back();
+    return cycles;
 }
 
 SwapRequestResult
@@ -636,24 +661,17 @@ SystemSim::drainForCheckpoint()
 {
     if (!net)
         return 0;
-    uint64_t spent = 0;
     // A partial reconfiguration caught mid-stream cannot be
     // checkpointed — run the active swap to completion first (the
     // engine's own watchdog bounds this: it retries, rolls back, or
     // quarantines, but always terminates).
-    while (swapActive()) {
-        stepSwap(0);
-        net->stepCycle();
-        ++spent;
-        pld_assert(spent < 100000000ull,
-                   "checkpoint swap completion never terminated");
-    }
+    uint64_t spent = driveSwap();
     // Then quiesce the network fabric, not the leaf interfaces: with
     // every page frozen, words queued in leaf FIFOs cannot move (and
     // do not need to — that state survives reconfiguration in
     // place), but flits in switch registers must land before the
     // grid can be handed to another tenant.
-    while (!net->transitIdle() && spent < cfg.swapDrainTimeoutCycles) {
+    while (!net->transitIdle() && spent < kSwapDrainTimeoutCycles) {
         net->stepCycle();
         ++spent;
     }
@@ -687,9 +705,7 @@ SystemSim::beginSwap(int page_id, const PageBinding &nb,
     swap.pageIdx = static_cast<size_t>(idx);
     Page &page = pages[swap.pageIdx];
     page.paused = true;
-    swap.packetsTotal = std::max<uint64_t>(
-        1, (nb.imageBytes + cfg.swapPacketBytes - 1) /
-               cfg.swapPacketBytes);
+    swap.packetsTotal = imagePackets(nb.imageBytes);
     swap.phase = SwapPhase::Draining;
     swap.span = std::make_unique<obs::Span>("sys", "sys.swap");
     swap.span->arg("op", page.fn->name)
@@ -722,7 +738,7 @@ SystemSim::startAttempt()
         .arg("attempt", static_cast<int64_t>(swap.attempt));
     if (injector.fires(FaultKind::DmaStall, faultSite(page),
                        swap.attempt * kFaultAttemptStride)) {
-        swap.stallLeft = cfg.swapDmaStallCycles;
+        swap.stallLeft = kSwapDmaStallCycles;
         swap.stalledThisAttempt = true;
         ++swap.result.dmaStalls;
         obs::count("sys.swap.dma_stalls");
@@ -733,14 +749,13 @@ void
 SystemSim::scheduleRetransmit()
 {
     ++swap.txCur;
-    if (swap.txCur > cfg.swapMaxRetransmits) {
+    if (swap.txCur > kSwapMaxRetransmits) {
         attemptFailed();
         return;
     }
     ++swap.result.retransmits;
     obs::count("sys.swap.retransmits");
-    swap.backoffLeft = cfg.swapBackoffBase
-                       << std::min(swap.txCur - 1, 10);
+    swap.backoffLeft = kSwapBackoffBase << (swap.txCur - 1);
 }
 
 void
@@ -757,7 +772,7 @@ SystemSim::transmissionResolved()
 
     // Frame the packet: payload derived from the image content hash,
     // CRC-32 over the payload (the real check, not a modelled one).
-    std::vector<uint8_t> payload(cfg.swapPacketBytes);
+    std::vector<uint8_t> payload(kSwapPacketBytes);
     for (size_t i = 0; i < payload.size(); i += 8) {
         Hasher h;
         h.u64(swap.nb.imageHash);
@@ -774,8 +789,7 @@ SystemSim::transmissionResolved()
         // timeout, then retransmits.
         ++swap.result.drops;
         obs::count("sys.swap.drops");
-        swap.ackWaitLeft = std::max<uint64_t>(1,
-                                              cfg.swapAckTimeoutCycles);
+        swap.ackWaitLeft = kSwapAckTimeoutCycles;
         return;
     }
     if (injector.fires(FaultKind::ConfigCorrupt, op, coord, salt)) {
@@ -799,8 +813,7 @@ SystemSim::transmissionResolved()
     ++swap.packetIdx;
     if (swap.packetIdx == swap.packetsTotal) {
         swap.phase = SwapPhase::Activating;
-        swap.activateLeft = std::max<uint64_t>(
-            1, cfg.swapActivationCycles);
+        swap.activateLeft = kSwapActivationCycles;
     }
 }
 
@@ -817,11 +830,9 @@ SystemSim::attemptFailed()
     obs::instant("sys", "sys.swap.rollback")
         .arg("op", page.fn->name)
         .arg("attempt", static_cast<int64_t>(swap.attempt));
-    uint64_t old_packets = std::max<uint64_t>(
-        1, (page.binding.imageBytes + cfg.swapPacketBytes - 1) /
-               cfg.swapPacketBytes);
     swap.phase = SwapPhase::RollingBack;
-    swap.rollbackLeft = old_packets * (packetCycles() + 1);
+    swap.rollbackLeft =
+        imagePackets(page.binding.imageBytes) * (kSwapPacketCycles + 1);
 }
 
 void
@@ -843,7 +854,7 @@ SystemSim::stepSwap(uint64_t run_cycle)
             startAttempt();
             return;
         }
-        if (swap.elapsed > cfg.swapDrainTimeoutCycles) {
+        if (swap.elapsed > kSwapDrainTimeoutCycles) {
             // The leaf never quiesced: abort before any image bits
             // were committed. The old page was never touched.
             swap.result.watchdogFired = true;
@@ -877,7 +888,7 @@ SystemSim::stepSwap(uint64_t run_cycle)
             return;
         }
         // Begin the next transmission of the current packet.
-        swap.packetCycleLeft = packetCycles();
+        swap.packetCycleLeft = kSwapPacketCycles;
         return;
       case SwapPhase::Activating:
         if (swap.elapsed >= swap.watchdogDeadline) {
@@ -906,7 +917,7 @@ SystemSim::stepSwap(uint64_t run_cycle)
             --swap.rollbackLeft;
             return;
         }
-        if (swap.attempt + 1 < cfg.swapMaxAttempts) {
+        if (swap.attempt + 1 < kSwapMaxAttempts) {
             ++swap.attempt;
             startAttempt();
         } else {
@@ -929,24 +940,17 @@ SystemSim::installImage(uint64_t run_cycle)
         page.fn = page.ownedFn.get();
     }
     bool restart = fn_changed || nb.impl != page.binding.impl;
-    if (nb.impl == PageImpl::Hw) {
-        if (restart || !page.exec) {
-            page.core.reset();
-            page.exec = std::make_unique<interp::OperatorExec>(
-                *page.fn, page.ports);
-            page.restartable = true;
-            page.starved = false;
-            page.done = false;
-            page.budget = 0;
-            if (swap.pageIdx < pageDoneMarked.size())
-                pageDoneMarked[swap.pageIdx] = false;
-        }
-        // else: same function, re-timed/re-placed image — the
-        // operator's architectural stream state lives in the leaf
-        // interface (not reconfigured), so execution resumes where
-        // the drain left it; only cyclesPerOp changes.
-    } else if (!restart && page.core && nb.imageHash != 0 &&
-               nb.imageHash == page.binding.imageHash) {
+    bool same_image =
+        nb.imageHash != 0 && nb.imageHash == page.binding.imageHash;
+    page.binding = nb;
+    if (!restart && nb.impl == PageImpl::Hw) {
+        // Same function, re-timed/re-placed image — the operator's
+        // architectural stream state lives in the leaf interface (not
+        // reconfigured), so execution resumes where the drain left
+        // it; only cyclesPerOp changes.
+        return;
+    }
+    if (!restart && same_image) {
         // Checkpoint/restore: re-instating the *identical* softcore
         // image (same content hash — the eviction/reinstate path of
         // the tenant scheduler) restores the read-back core state
@@ -956,19 +960,10 @@ SystemSim::installImage(uint64_t run_cycle)
         // already charged by the swap engine.
         page.coreSyncRun = run_cycle;
         page.coreSyncCycles = page.core->cycles();
-    } else {
-        page.exec.reset();
-        page.core = std::make_unique<rv32::Core>(nb.elf, page.ports);
-        page.coreSyncRun = run_cycle;
-        page.coreSyncCycles = 0;
-        page.restartable = true;
-        page.starved = false;
-        page.done = false;
-        page.budget = 0;
-        if (swap.pageIdx < pageDoneMarked.size())
-            pageDoneMarked[swap.pageIdx] = false;
+        return;
     }
-    page.binding = nb;
+    restartPage(page, run_cycle);
+    page.restartable = true;
 }
 
 void
@@ -994,23 +989,14 @@ SystemSim::installFallback(uint64_t run_cycle)
         page.ownedFn = std::move(swap.newFn);
         page.fn = page.ownedFn.get();
     }
-    page.exec.reset();
-    page.core =
-        std::make_unique<rv32::Core>(src->fallbackElf, page.ports);
-    page.coreSyncRun = run_cycle;
-    page.coreSyncCycles = 0;
     page.binding.impl = PageImpl::Softcore;
     page.binding.elf = src->fallbackElf;
     page.binding.imageBytes = src->fallbackElf.footprintBytes();
     page.binding.imageHash = 0; // fallback image, not the failed one
     page.binding.hasFallback = true;
     page.binding.fallbackElf = src->fallbackElf;
+    restartPage(page, run_cycle);
     page.restartable = true;
-    page.starved = false;
-    page.done = false;
-    page.budget = 0;
-    if (swap.pageIdx < pageDoneMarked.size())
-        pageDoneMarked[swap.pageIdx] = false;
 }
 
 void

@@ -78,42 +78,13 @@ struct PageBinding
     rv32::PldElf fallbackElf;
 };
 
+/** Cycles a dma_stall fault freezes the swap config channel for. */
+constexpr uint64_t kSwapDmaStallCycles = 64;
+
 struct SystemConfig
 {
     /** Overlay (true, -O1/-O0) vs direct FIFO links (-O3/Vitis). */
     bool useNoc = true;
-    int nocPortsPerLeaf = 6;
-    size_t nocFifoDepth = 16;
-    /** Direct-link FIFO depth for monolithic designs. */
-    size_t directFifoDepth = 64;
-    /** DMA words moved per cycle per external stream. */
-    int dmaWordsPerCycle = 1;
-    /** First NoC leaf used for DMA endpoints. */
-    int dmaLeafBase = 24;
-
-    // --- Hot-swap / runtime fault tolerance knobs -----------------
-    /** Payload bytes per CRC-framed config packet. */
-    size_t swapPacketBytes = 128;
-    /** Retransmissions allowed per packet before the attempt aborts. */
-    int swapMaxRetransmits = 4;
-    /** Swap attempts (stream + activate) before quarantine. */
-    int swapMaxAttempts = 2;
-    /**
-     * Cycle budget per swap attempt before the watchdog aborts it.
-     * 0 = auto: sized so a fault-free (even fully retransmitted)
-     * stream never trips it, but a hung activation always does.
-     */
-    uint64_t swapWatchdogCycles = 0;
-    /** Cycles the sender waits for an ack before declaring a drop. */
-    uint64_t swapAckTimeoutCycles = 16;
-    /** Base retransmit backoff in cycles (doubles per retry). */
-    uint64_t swapBackoffBase = 2;
-    /** Cycles to wait for the target leaf to quiesce before abort. */
-    uint64_t swapDrainTimeoutCycles = 100000;
-    /** Cycles a dma_stall fault freezes the config channel for. */
-    uint64_t swapDmaStallCycles = 64;
-    /** Cycles from last packet accepted to the page reporting up. */
-    uint64_t swapActivationCycles = 8;
     /** Pending requestSwap() queue bound; further requests are
      * rejected with a structured diagnostic instead of piling up. */
     size_t swapQueueDepth = 8;
@@ -267,8 +238,8 @@ class SystemSim
      * exactly where the drain left it. An active swap is first run
      * to completion (mid-reconfiguration state cannot be
      * checkpointed; the swap watchdog bounds it). Returns cycles
-     * spent (the fabric-quiesce part is bounded by
-     * swapDrainTimeoutCycles).
+     * spent (the fabric-quiesce part is bounded by the swap drain
+     * timeout).
      */
     uint64_t drainForCheckpoint();
 
@@ -309,12 +280,15 @@ class SystemSim
         /**
          * Installed fresh mid-stream by a function-changing swap:
          * the page counts as quiescent (for completion) while it is
-         * blocked on read with no input available, instead of
-         * requiring an explicit done state.
+         * blocked on read with no input readable even after the
+         * cycle's NoC step, instead of requiring an explicit done
+         * state.
          */
         bool restartable = false;
         /** Set with restartable when the page last blocked starved. */
         bool starved = false;
+        /** sys.page.done already emitted since the last restart. */
+        bool doneMarked = false;
         /**
          * Softcore clock sync point: the core is stepped while
          * (cycles() - coreSyncCycles) < (run cycle - coreSyncRun).
@@ -377,6 +351,13 @@ class SystemSim
     bool stepPages(uint64_t cycle);
     bool anyInputReadable(const Page &page) const;
     void rearmPages();
+    /**
+     * Load @p page at its entry state from its current binding and
+     * function: a fresh interpreter (HW) or core (softcore), cleared
+     * progress and done marker, and the softcore clock synced to
+     * @p run_cycle.
+     */
+    void restartPage(Page &page, uint64_t run_cycle);
     /** Fault-injection site name for @p page: the operator name,
      * prefixed with cfg.faultScope (tenant) when one is set. */
     std::string faultSite(const Page &page) const;
@@ -385,6 +366,9 @@ class SystemSim
     int findPage(int page_id) const;
     void beginSwap(int page_id, const PageBinding &nb,
                    std::unique_ptr<ir::OperatorFn> new_fn, bool in_run);
+    /** Step the active swap and the NoC (pages frozen) until the swap
+     * is terminal; returns the cycles stepped. */
+    uint64_t driveSwap();
     void stepSwap(uint64_t run_cycle);
     void startAttempt();
     void transmissionResolved();
@@ -393,7 +377,6 @@ class SystemSim
     void finishSwap(SwapOutcome outcome, uint64_t run_cycle);
     void installImage(uint64_t run_cycle);
     void installFallback(uint64_t run_cycle);
-    uint64_t packetCycles() const;
     uint64_t watchdogBudget() const;
     bool swapActive() const
     {
@@ -403,7 +386,6 @@ class SystemSim
     /** Telemetry accumulated across the run (one counter add at the
      * end instead of per-cycle registry traffic). */
     uint64_t statStalls = 0;
-    std::vector<bool> pageDoneMarked;
 
     const ir::Graph &g;
     SystemConfig cfg;

@@ -17,6 +17,7 @@
 #include "ir/builder.h"
 #include "obs/trace.h"
 #include "pld/compiler.h"
+#include "rosetta/benchmark.h"
 #include "sys/system.h"
 
 using namespace pld;
@@ -112,8 +113,6 @@ runScenario(unsigned jobs, const Graph &base_g, const Graph &edit_g)
     EXPECT_GT(sa.binding.imageBytes, 0u);
 
     sys::SystemConfig cfg = build.sysCfg;
-    cfg.swapMaxRetransmits = 4;
-    cfg.swapMaxAttempts = 2;
     // Attempt 0: fault coordinates 0..4 are all corrupt — retransmit
     // exhaustion, rollback. Attempt 1: coordinates 16,17 corrupt then
     // clean — the stream completes, but activation hangs (page_hang
@@ -222,4 +221,48 @@ TEST(SwapScenario, UnchangedOperatorComesFromCache)
     EXPECT_TRUE(e2.fromCache);
     EXPECT_EQ(e1.binding.imageBytes, e2.binding.imageBytes);
     EXPECT_EQ(e1.binding.imageHash, e2.binding.imageHash);
+}
+
+TEST(SwapScenario, EveryOperatorOfAnAppSwapsBetweenBatches)
+{
+    // Each uniquely named operator of Spam Filter — the DMA-facing
+    // source and sink included — is swapped for an edited copy (one
+    // added debug Print: a new function with the same semantics)
+    // between batches. The restarted page must take the next two
+    // batches word for word like the original.
+    rosetta::Benchmark bm = rosetta::makeSpamFilter();
+    PldCompiler pc(device(), opts(2));
+    AppBuild build = pc.build(bm.graph, OptLevel::O1);
+    ASSERT_TRUE(build.report.allOk());
+
+    sys::SystemSim sim(bm.graph, build.bindings, build.sysCfg);
+    auto run_batch = [&] {
+        sim.loadInput(0, bm.input);
+        EXPECT_TRUE(sim.run().completed);
+        return sim.takeOutput(0);
+    };
+    ASSERT_EQ(run_batch(), bm.expected);
+
+    for (size_t oi = 0; oi < bm.graph.ops.size(); ++oi) {
+        const std::string &name = bm.graph.ops[oi].fn.name;
+        size_t same_name = 0;
+        for (const auto &op : bm.graph.ops)
+            same_name += op.fn.name == name ? 1 : 0;
+        if (same_name != 1)
+            continue; // a swap names its operator by function name
+
+        Graph edited = bm.graph;
+        ir::StmtPtr print = ir::makeStmt(ir::StmtKind::Print);
+        print->text = "edited " + name;
+        edited.ops[oi].fn.body.push_back(std::move(print));
+        SwapArtifact sa = pc.buildSwapArtifact(edited, name, build);
+        ASSERT_TRUE(sa.fnChanged) << name;
+        ASSERT_EQ(sim.swapPage(sa.binding.pageId, sa.binding, &sa.fn)
+                      .outcome,
+                  sys::SwapOutcome::Swapped)
+            << name;
+        for (int b = 0; b < 2; ++b)
+            EXPECT_EQ(run_batch(), bm.expected)
+                << "batch " << b << " after swapping " << name;
+    }
 }

@@ -106,9 +106,6 @@ swapCfg(const std::string &faults = "")
 {
     SystemConfig cfg;
     cfg.useNoc = true;
-    cfg.swapPacketBytes = 128;
-    cfg.swapMaxRetransmits = 4;
-    cfg.swapMaxAttempts = 2;
     if (!faults.empty())
         cfg.faults = FaultPlan::parse(faults);
     return cfg;
@@ -327,8 +324,7 @@ TEST(Swap, DmaStallAddsExactlyItsCycles)
         sim.swapPage(0, swapImage(hwBinding(g, 0, 0), 512, 2.0));
     EXPECT_EQ(r.outcome, SwapOutcome::Swapped);
     EXPECT_EQ(r.dmaStalls, 1u);
-    SystemConfig cfg = swapCfg();
-    EXPECT_EQ(r.cycles, rc.cycles + cfg.swapDmaStallCycles)
+    EXPECT_EQ(r.cycles, rc.cycles + sys::kSwapDmaStallCycles)
         << "a stalled config channel freezes for exactly its window";
 }
 
@@ -439,33 +435,75 @@ TEST(Swap, FaultScenarioIsBitReproducible)
 {
     // The whole scenario — drops, corruptions, rollbacks — is a pure
     // function of (seed, kind, op, attempt): two fresh systems agree
-    // on every counter of the result.
+    // on every counter of the result, and both match the recorded
+    // values, so a change that shifts every run alike still fails.
     const int n = 64;
     Graph g = makePipeline(n);
-    auto run_once = [&](SwapResult &r, std::vector<uint32_t> &out) {
+    auto run_once = [&](sys::RunStats &rs, SwapResult &r,
+                        std::vector<uint32_t> &out) {
         SystemSim sim(g, {hwBinding(g, 0, 0), hwBinding(g, 1, 5)},
                       swapCfg("config_corrupt:a1*18;config_drop:a2*1"));
         sim.requestSwap(0, swapImage(hwBinding(g, 0, 0), 512, 2.0),
                         /*at_cycle=*/40);
         sim.loadInput(0, iota(n));
-        EXPECT_TRUE(sim.run().completed);
+        rs = sim.run();
+        EXPECT_TRUE(rs.completed);
         out = sim.takeOutput(0);
         ASSERT_EQ(sim.swapHistory().size(), 1u);
         r = sim.swapHistory()[0];
     };
-    SwapResult r1, r2;
-    std::vector<uint32_t> o1, o2;
-    run_once(r1, o1);
-    run_once(r2, o2);
-    EXPECT_EQ(o1, o2);
-    EXPECT_EQ(r1.outcome, r2.outcome);
-    EXPECT_EQ(r1.cycles, r2.cycles);
-    EXPECT_EQ(r1.packets, r2.packets);
-    EXPECT_EQ(r1.retransmits, r2.retransmits);
-    EXPECT_EQ(r1.crcErrors, r2.crcErrors);
-    EXPECT_EQ(r1.drops, r2.drops);
-    EXPECT_EQ(r1.attempts, r2.attempts);
-    EXPECT_EQ(r1.rollbacks, r2.rollbacks);
+    for (int rep = 0; rep < 2; ++rep) {
+        sys::RunStats rs;
+        SwapResult r;
+        std::vector<uint32_t> out;
+        run_once(rs, r, out);
+        EXPECT_EQ(rs.cycles, 1307u) << "rep " << rep;
+        EXPECT_EQ(rs.configCycles, 21u);
+        EXPECT_EQ(rs.noc.injected, 195u);
+        EXPECT_EQ(rs.noc.delivered, 195u);
+        EXPECT_EQ(rs.noc.deflections, 0u);
+        EXPECT_EQ(rs.noc.totalHops, 1491u);
+        EXPECT_EQ(r.outcome, SwapOutcome::Swapped);
+        EXPECT_EQ(r.cycles, 661u);
+        EXPECT_EQ(r.packets, 4u);
+        EXPECT_EQ(r.retransmits, 12u);
+        EXPECT_EQ(r.crcErrors, 13u);
+        EXPECT_EQ(r.drops, 0u);
+        EXPECT_EQ(r.attempts, 2);
+        EXPECT_EQ(r.rollbacks, 1);
+        ASSERT_EQ(out.size(), static_cast<size_t>(n));
+        for (int i = 0; i < n; ++i)
+            EXPECT_EQ(out[i], static_cast<uint32_t>(i + 11));
+    }
+}
+
+// -------- restarted pages and run completion ------------------------
+
+TEST(Swap, RestartedSinkReadsItsLastWordBeforeCompleting)
+{
+    // Regression: a function-changing swap leaves the sink page
+    // restartable, so it counts as quiescent while starved. Its only
+    // input word can land in the same cycle it reported starved;
+    // run() must not complete with that word unread (or carry it into
+    // the next batch).
+    Graph g = makePipeline(1);
+    SystemSim sim(g, {hwBinding(g, 0, 0), hwBinding(g, 1, 5)},
+                  swapCfg());
+    sim.loadInput(0, {3});
+    ASSERT_TRUE(sim.run().completed);
+    ASSERT_EQ(sim.takeOutput(0), std::vector<uint32_t>{3 + 11});
+
+    OperatorFn edited = makeAddK("a2", 100, 1);
+    PageBinding nb = swapImage(hwBinding(g, 1, 5), 512, 1.0);
+    nb.cyclesPerOp = hls::analyzeOperator(edited).cyclesPerOp();
+    ASSERT_EQ(sim.swapPage(5, nb, &edited).outcome, SwapOutcome::Swapped);
+
+    for (uint32_t word : {7u, 20u}) {
+        sim.loadInput(0, {word});
+        ASSERT_TRUE(sim.run().completed);
+        EXPECT_EQ(sim.takeOutput(0), std::vector<uint32_t>{word + 101})
+            << "batch input " << word;
+    }
 }
 
 // -------- observability ---------------------------------------------

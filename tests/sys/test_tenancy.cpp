@@ -473,7 +473,7 @@ TEST(Tenancy, ScheduleIsBitReproducible)
     // injected faults, DRR rotation — must be a pure function of
     // its inputs: two fresh schedulers produce identical outputs,
     // identical per-tenant accounting, and an identical fabric
-    // clock.
+    // clock, all equal to the recorded values.
     const int n = 48;
     Graph g = makePipeline(n);
     const std::string plan = "config_corrupt:hostile/a1*2";
@@ -517,5 +517,23 @@ TEST(Tenancy, ScheduleIsBitReproducible)
         EXPECT_EQ(a.tenants[t].servedPageCycles,
                   b.tenants[t].servedPageCycles);
         EXPECT_EQ(a.tenants[t].slices, b.tenants[t].slices);
+    }
+
+    EXPECT_EQ(a.rounds, 1u);
+    EXPECT_EQ(a.slices, 6u);
+    EXPECT_EQ(a.virtualCycles, 1917u);
+    EXPECT_EQ(a.evictions, 2u);
+    EXPECT_EQ(a.instatements, 3u);
+    EXPECT_DOUBLE_EQ(a.jainFairness, 1.0);
+    const uint64_t latency[] = {639, 1278, 1917}; // t0, hostile, t2
+    ASSERT_EQ(a.tenants.size(), 3u);
+    for (size_t t = 0; t < 3; ++t) {
+        EXPECT_EQ(a.tenants[t].servedPageCycles, 1278u) << t;
+        EXPECT_EQ(a.tenants[t].slices, 2u) << t;
+        EXPECT_EQ(a.tenants[t].rollbacks, 0u) << t;
+        EXPECT_EQ(a.tenants[t].retransmits, 0u) << t;
+        EXPECT_EQ(a.tenants[t].quarantinedPages, 0u) << t;
+        ASSERT_EQ(out1[t].size(), 1u) << t;
+        EXPECT_EQ(out1[t][0].latencyCycles, latency[t]) << t;
     }
 }
