@@ -51,11 +51,12 @@ uint64_t
 Rng::below(uint64_t bound)
 {
     pld_assert(bound > 0, "Rng::below needs positive bound");
-    // Rejection sampling to avoid modulo bias.
-    uint64_t threshold = (0 - bound) % bound;
+    // Rejection sampling to avoid modulo bias: reject raw draws below
+    // 2^64 mod bound. That threshold is itself below bound, so it is
+    // computed only for the rare draw that could fall under it.
     for (;;) {
         uint64_t r = next();
-        if (r >= threshold)
+        if (r >= bound || r >= (0 - bound) % bound)
             return r % bound;
     }
 }

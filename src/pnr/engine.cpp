@@ -64,7 +64,8 @@ placeAndRoute(const Netlist &net, const Device &dev,
         for (int pass = 0; pass < 6; ++pass) {
             for (int r = 0; r < dev.height; ++r) {
                 for (int c = 0; c < dev.width; ++c) {
-                    checked += static_cast<int>(dev.at(c, r)) + pass;
+                    checked = checked +
+                              (static_cast<int>(dev.at(c, r)) + pass);
                 }
             }
         }
@@ -88,6 +89,9 @@ placeAndRoute(const Netlist &net, const Device &dev,
     res.placeCpuSeconds = pr.cpuSeconds;
     res.placeMoves = pr.movesAttempted;
     obs::record("pnr.place.seconds", pr.seconds);
+    if (res.placeMoves > 0)
+        obs::record("pnr.place.ns_per_move",
+                    res.placeCpuSeconds * 1e9 / double(res.placeMoves));
 
     RouterOptions ropts;
     ropts.channelCapacity = opts.channelCapacity;

@@ -20,6 +20,12 @@ using netlist::SiteKind;
 
 namespace {
 
+using Pos = std::pair<int, int>;
+
+/** Extra weight, in tiles of wirelength, for a net crossing the SLR
+ * boundary. */
+constexpr double kSlrPenalty = 40.0;
+
 double
 widthFactor(int width)
 {
@@ -27,19 +33,31 @@ widthFactor(int width)
 }
 
 /**
- * Incrementally maintained bounding box of one net, with pin counts
- * on each boundary (VPR-style): a pin moving off a boundary with
- * other pins still on it is O(1); only when the last boundary pin
- * leaves does the box need an O(pins) rescan.
+ * Cost of a net of weight @p w whose pins span columns
+ * [min_c, max_c] and rows [min_r, max_r]: its HPWL, plus the SLR
+ * penalty when the box crosses the boundary. With w = 1 + width/32
+ * every cost is a multiple of 1/32 far below 2^53, so sums of costs
+ * in double are exact in any order.
  */
-struct NetBox
+double
+boxCost(const Device &dev, double w, int min_c, int max_c, int min_r,
+        int max_r)
 {
-    int minC = 1 << 30, maxC = -1, minR = 1 << 30, maxR = -1;
-    int nMinC = 0, nMaxC = 0, nMinR = 0, nMaxR = 0;
-    int pins = 0;
-};
+    double hpwl = (max_c - min_c) + (max_r - min_r);
+    double cost = hpwl * w;
+    if (dev.slrOf(min_r) != dev.slrOf(max_r))
+        cost += kSlrPenalty * w;
+    return cost;
+}
 
-/** Working state of one annealing run. */
+/**
+ * Working state of one annealing run. A move is scored by evaluate(),
+ * which rescans the nets of the two swapped cells with their candidate
+ * positions overlaid and writes no placement state, and is applied by
+ * commit() only when accepted. Costs are exact (see boxCost), so the
+ * evaluated delta equals the apply-then-subtract one and the running
+ * total never drifts.
+ */
 class Annealer
 {
   public:
@@ -92,12 +110,30 @@ class Annealer
             place_.pos[ci] = sites[k][s];
         }
 
-        boxes.resize(net.nets.size());
+        // Flat CSR views of the netlist: cell -> nets, net -> pins.
+        cellKind.reserve(net.cells.size());
+        cellNetStart.push_back(0);
+        for (const auto &c : net.cells) {
+            cellKind.push_back(static_cast<int>(c.site));
+            cellNets.insert(cellNets.end(), c.pins.begin(),
+                            c.pins.end());
+            cellNetStart.push_back(static_cast<int>(cellNets.size()));
+        }
+        netPinStart.push_back(0);
+        for (const auto &nn : net.nets) {
+            if (nn.driver >= 0)
+                netPins.push_back(nn.driver);
+            netPins.insert(netPins.end(), nn.sinks.begin(),
+                           nn.sinks.end());
+            netPinStart.push_back(static_cast<int>(netPins.size()));
+            netWeight.push_back(widthFactor(nn.width));
+        }
+        netStamp.assign(net.nets.size(), 0);
+
         netCost.resize(net.nets.size());
         totalCost = 0;
         for (size_t ni = 0; ni < net.nets.size(); ++ni) {
-            recomputeBox(static_cast<int>(ni));
-            netCost[ni] = costFromBox(static_cast<int>(ni));
+            netCost[ni] = costWith(static_cast<int>(ni), -1, {}, -1, {});
             totalCost += netCost[ni];
         }
     }
@@ -181,24 +217,15 @@ class Annealer
         }
 
         // Restore the best placement seen (annealing may drift after
-        // its best point).
+        // its best point). The running cost is exact, so best_cost is
+        // the returned placement's cost.
         if (best_cost < totalCost) {
-            for (size_t ci = 0; ci < net.cells.size(); ++ci) {
-                int k = static_cast<int>(net.cells[ci].site);
-                place_.pos[ci] = sites[k][best_site_idx[ci]];
-            }
-        }
-        // Report an exact cost for the final placement: the running
-        // totalCost accumulates fp deltas over millions of moves;
-        // one clean sum removes that drift.
-        totalCost = 0;
-        for (size_t ni = 0; ni < net.nets.size(); ++ni) {
-            recomputeBox(static_cast<int>(ni));
-            totalCost += costFromBox(static_cast<int>(ni));
+            for (size_t ci = 0; ci < n; ++ci)
+                place_.pos[ci] = sites[cellKind[ci]][best_site_idx[ci]];
         }
 
         res.place = place_;
-        res.finalCost = totalCost;
+        res.finalCost = best_cost;
         res.movesAttempted = attempted;
         res.movesAccepted = accepted;
         res.seconds = sw.seconds();
@@ -207,167 +234,97 @@ class Annealer
     }
 
   private:
-    /** O(pins) rescan of one net's box from current positions. */
-    void
-    recomputeBox(int ni)
-    {
-        const auto &nn = net.nets[ni];
-        NetBox b;
-        auto touch = [&](int cell) {
-            auto [c, r] = place_.pos[cell];
-            if (c < b.minC) {
-                b.minC = c;
-                b.nMinC = 1;
-            } else if (c == b.minC) {
-                b.nMinC++;
-            }
-            if (c > b.maxC) {
-                b.maxC = c;
-                b.nMaxC = 1;
-            } else if (c == b.maxC) {
-                b.nMaxC++;
-            }
-            if (r < b.minR) {
-                b.minR = r;
-                b.nMinR = 1;
-            } else if (r == b.minR) {
-                b.nMinR++;
-            }
-            if (r > b.maxR) {
-                b.maxR = r;
-                b.nMaxR = 1;
-            } else if (r == b.maxR) {
-                b.nMaxR++;
-            }
-            b.pins++;
-        };
-        if (nn.driver >= 0)
-            touch(nn.driver);
-        for (int s : nn.sinks)
-            touch(s);
-        boxes[ni] = b;
-    }
-
+    /**
+     * Cost of net @p ni with cell @p a at @p pa and cell @p b at
+     * @p pb instead of their current positions (-1 = no overlay).
+     */
     double
-    costFromBox(int ni) const
+    costWith(int ni, int a, Pos pa, int b, Pos pb) const
     {
-        const NetBox &b = boxes[ni];
-        if (b.maxC < 0)
+        int first = netPinStart[ni], last = netPinStart[ni + 1];
+        if (first == last)
             return 0;
-        double hpwl = (b.maxC - b.minC) + (b.maxR - b.minR);
-        double cost = hpwl * widthFactor(net.nets[ni].width);
-        if (dev.slrOf(b.minR) != dev.slrOf(b.maxR))
-            cost += opts.slrPenalty * widthFactor(net.nets[ni].width);
-        return cost;
+        int min_c = 1 << 30, max_c = -1, min_r = 1 << 30, max_r = -1;
+        for (int e = first; e < last; ++e) {
+            int cell = netPins[e];
+            auto [c, r] = cell == a   ? pa
+                          : cell == b ? pb
+                                      : place_.pos[cell];
+            min_c = std::min(min_c, c);
+            max_c = std::max(max_c, c);
+            min_r = std::min(min_r, r);
+            max_r = std::max(max_r, r);
+        }
+        return boxCost(dev, netWeight[ni], min_c, max_c, min_r, max_r);
     }
 
     /**
-     * One pin of net @p ni moved from (c0,r0) to (c1,r1). O(1) unless
-     * the pin was the last one on a box boundary, in which case the
-     * box is rescanned (positions are already up to date).
+     * Cost delta of swapping cell @p ci with whatever occupies
+     * sites[k][target]. Placement state is untouched; each distinct
+     * net on the two cells is rescanned once (a per-net stamp skips
+     * repeats) and its new cost is kept in `touched` for commit().
      */
-    void
-    pinMoved(int ni, int c0, int r0, int c1, int r1)
+    double
+    evaluate(int ci, int k, int target)
     {
-        NetBox &b = boxes[ni];
-        bool rescan = false;
-        if (c0 == b.minC && --b.nMinC == 0)
-            rescan = true;
-        if (c0 == b.maxC && --b.nMaxC == 0)
-            rescan = true;
-        if (r0 == b.minR && --b.nMinR == 0)
-            rescan = true;
-        if (r0 == b.maxR && --b.nMaxR == 0)
-            rescan = true;
-        if (rescan) {
-            recomputeBox(ni);
-            return;
+        int other = occupant[k][target];
+        Pos to = sites[k][target];
+        Pos from = place_.pos[ci];
+        ++stamp;
+        touched.clear();
+        double delta = 0;
+        for (int cell : {ci, other}) {
+            if (cell < 0)
+                continue;
+            for (int e = cellNetStart[cell]; e < cellNetStart[cell + 1];
+                 ++e) {
+                int ni = cellNets[e];
+                if (netStamp[ni] == stamp)
+                    continue;
+                netStamp[ni] = stamp;
+                double fresh = costWith(ni, ci, to, other, from);
+                touched.emplace_back(ni, fresh);
+                delta += fresh - netCost[ni];
+            }
         }
-        if (c1 < b.minC) {
-            b.minC = c1;
-            b.nMinC = 1;
-        } else if (c1 == b.minC) {
-            b.nMinC++;
-        }
-        if (c1 > b.maxC) {
-            b.maxC = c1;
-            b.nMaxC = 1;
-        } else if (c1 == b.maxC) {
-            b.nMaxC++;
-        }
-        if (r1 < b.minR) {
-            b.minR = r1;
-            b.nMinR = 1;
-        } else if (r1 == b.minR) {
-            b.nMinR++;
-        }
-        if (r1 > b.maxR) {
-            b.maxR = r1;
-            b.nMaxR = 1;
-        } else if (r1 == b.maxR) {
-            b.nMaxR++;
-        }
+        return delta;
     }
 
-    /** Move @p cell to @p to, updating boxes and the running cost. */
+    /** Apply the swap evaluate() just scored as @p delta. */
     void
-    moveCell(int cell, std::pair<int, int> to)
-    {
-        auto from = place_.pos[cell];
-        if (from == to)
-            return;
-        place_.pos[cell] = to;
-        for (int ni : net.cells[cell].pins) {
-            pinMoved(ni, from.first, from.second, to.first, to.second);
-            double fresh = costFromBox(ni);
-            totalCost += fresh - netCost[ni];
-            netCost[ni] = fresh;
-        }
-    }
-
-    /** Swap cell ci with whatever occupies sites[k][target]. */
-    void
-    applySwap(int ci, int k, int target)
+    commit(int ci, int k, int target, double delta)
     {
         int old_site = cellSiteIdx[ci];
-        if (old_site == target)
-            return;
         int other = occupant[k][target];
-
         occupant[k][old_site] = other;
         occupant[k][target] = ci;
         cellSiteIdx[ci] = target;
-        if (other >= 0)
+        place_.pos[ci] = sites[k][target];
+        if (other >= 0) {
             cellSiteIdx[other] = old_site;
-
-        // Cells move one at a time so the incremental boxes always
-        // describe the exact multiset of pin positions.
-        moveCell(ci, sites[k][target]);
-        if (other >= 0)
-            moveCell(other, sites[k][old_site]);
+            place_.pos[other] = sites[k][old_site];
+        }
+        for (auto [ni, fresh] : touched)
+            netCost[ni] = fresh;
+        totalCost += delta;
     }
 
     double
     initialTemperature()
     {
-        // Sample random swaps (applied then reverted) to estimate the
-        // cost-delta scale without disturbing the placement.
+        // Score random swaps to estimate the cost-delta scale.
         double sum = 0, sq = 0;
         const int samples = 64;
         for (int i = 0; i < samples; ++i) {
             int ci = static_cast<int>(rng.below(net.cells.size()));
-            int k = static_cast<int>(net.cells[ci].site);
+            int k = cellKind[ci];
             if (sites[k].size() < 2)
                 continue;
             int target =
                 static_cast<int>(rng.below(sites[k].size()));
-            int old_site = cellSiteIdx[ci];
-            if (target == old_site)
+            if (target == cellSiteIdx[ci])
                 continue;
-            double before = totalCost;
-            applySwap(ci, k, target);
-            double delta = totalCost - before;
-            applySwap(ci, k, old_site);
+            double delta = evaluate(ci, k, target);
             sum += delta;
             sq += delta * delta;
         }
@@ -380,7 +337,7 @@ class Annealer
     tryMove(double t)
     {
         int ci = static_cast<int>(rng.below(net.cells.size()));
-        int k = static_cast<int>(net.cells[ci].site);
+        int k = cellKind[ci];
         if (sites[k].size() < 2)
             return false;
         int old_site = cellSiteIdx[ci];
@@ -398,15 +355,18 @@ class Annealer
         if (target == old_site)
             return false;
 
-        double before = totalCost;
-        applySwap(ci, k, target);
-        double delta = totalCost - before;
-        if (delta <= 0)
-            return true;
-        if (rng.uniform() < std::exp(-delta / t))
-            return true;
-        applySwap(ci, k, old_site); // revert
-        return false;
+        double delta = evaluate(ci, k, target);
+        if (delta > 0) {
+            double u = rng.uniform();
+            // delta > 38t bounds exp(-delta/t) below exp(-37) < 2^-53,
+            // the smallest nonzero u: a certain reject, without exp.
+            if (u > 0 && delta > 38 * t)
+                return false;
+            if (!(u < std::exp(-delta / t)))
+                return false;
+        }
+        commit(ci, k, target, delta);
+        return true;
     }
 
     const Netlist &net;
@@ -414,14 +374,25 @@ class Annealer
     PlacerOptions opts;
     Rng rng;
 
-    std::vector<std::pair<int, int>> sites[3];
+    std::vector<Pos> sites[3];
     std::vector<int> occupant[3];
     std::vector<int> cellSiteIdx;
     Placement place_;
-    std::vector<NetBox> boxes;
+
+    std::vector<int> cellKind;
+    std::vector<int> cellNetStart, cellNets;
+    std::vector<int> netPinStart, netPins;
+    std::vector<double> netWeight;
+
     std::vector<double> netCost;
     double totalCost = 0;
     int rangeLimit = 1 << 20;
+
+    /** evaluate() scratch: nets already rescanned for this move
+     * (64-bit so the stamp never wraps), and their new costs. */
+    std::vector<uint64_t> netStamp;
+    uint64_t stamp = 0;
+    std::vector<std::pair<int, double>> touched;
 };
 
 /** Seed for restart @p r; restart 0 keeps the caller's seed. */
@@ -509,8 +480,7 @@ place(const Netlist &net, const Device &dev, const Rect &region,
 }
 
 double
-placementCost(const Netlist &net, const Device &dev,
-              const Placement &p, double slr_penalty)
+placementCost(const Netlist &net, const Device &dev, const Placement &p)
 {
     double total = 0;
     for (const auto &nn : net.nets) {
@@ -528,10 +498,8 @@ placementCost(const Netlist &net, const Device &dev,
             touch(s);
         if (max_c < 0)
             continue;
-        double hpwl = (max_c - min_c) + (max_r - min_r);
-        total += hpwl * widthFactor(nn.width);
-        if (dev.slrOf(min_r) != dev.slrOf(max_r))
-            total += slr_penalty * widthFactor(nn.width);
+        total += boxCost(dev, widthFactor(nn.width), min_c, max_c, min_r,
+                         max_r);
     }
     return total;
 }

@@ -8,13 +8,15 @@
  * than placing a whole application into the full user region — the
  * mechanism behind PLD's separate-compilation speedup (Sec 4.1).
  *
- * Two levers keep the inner loop fast and the wall time scalable:
- * incremental bounding-box cost updates (a move only touches the
- * boxes of the nets on the two swapped cells, with a full recompute
- * only when a pin leaves a box boundary), and multi-seed restarts
- * that run concurrently and keep the best-cost placement. Restart
- * results are independent of the thread count, so placements are
- * bit-identical at threads=1 and threads=N for the same seed.
+ * Each temperature attempts max(64, effort * n^1.2) swap moves over
+ * n cells. Two levers keep the inner loop fast and the wall time
+ * scalable: evaluate-then-commit moves (a move rescans only the nets
+ * on the two swapped cells, with their candidate positions overlaid,
+ * and writes state only when accepted; costs are multiples of 1/32, so
+ * the running total is exact), and multi-seed restarts that run
+ * concurrently and keep the best-cost placement. Restart results are
+ * independent of the thread count, so placements are bit-identical at
+ * threads=1 and threads=N for the same seed.
  */
 
 #ifndef PLD_PNR_PLACER_H
@@ -40,8 +42,6 @@ struct PlacerOptions
     /** Scales annealing moves; 1.0 is the default schedule. */
     double effort = 1.0;
     uint64_t seed = 1;
-    /** Extra weight for nets crossing the SLR boundary. */
-    double slrPenalty = 40.0;
     /**
      * Independent annealing runs (distinct derived seeds); the
      * best-cost result wins, ties broken by restart index so the
@@ -79,8 +79,7 @@ PlaceResult place(const netlist::Netlist &net,
 
 /** Wirelength cost of an existing placement (for tests/reports). */
 double placementCost(const netlist::Netlist &net,
-                     const fabric::Device &dev, const Placement &p,
-                     double slr_penalty);
+                     const fabric::Device &dev, const Placement &p);
 
 } // namespace pnr
 } // namespace pld

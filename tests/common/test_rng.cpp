@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "common/hash.h"
 #include "common/rng.h"
 
 using pld::Rng;
@@ -77,4 +78,47 @@ TEST(Rng, GaussianMoments)
     }
     EXPECT_NEAR(sum / n, 0.0, 0.03);
     EXPECT_NEAR(sq / n, 1.0, 0.05);
+}
+
+TEST(Rng, BelowMatchesGoldenSequence)
+{
+    // The first 64 draws from seed 5 per bound, pinned as an FNV-1a
+    // digest plus the first draw, and the number of raw 64-bit draws
+    // they consumed. Bound 2^63+1 rejects about half of its raw
+    // draws, so it pins the rejection path as well.
+    struct Case
+    {
+        uint64_t bound;
+        uint64_t first;
+        uint64_t digest;
+        int rawDraws;
+    };
+    const Case cases[] = {
+        {1, 0, 0x7da144b97d054b25ull, 64},
+        {3, 2, 0xc8c414bd1f6a8d67ull, 64},
+        {17, 14, 0x68b86403571dc19aull, 64},
+        {1000003, 130153, 0x655fd3efbd4bb00dull, 64},
+        {(1ull << 32) + 15, 1993673117, 0x65e608c0141ae093ull, 64},
+        {(1ull << 63) + 1, 1883086673733362907ull, 0x67d776bdc2f8687full,
+         126},
+        {~0ull, 5320248114040590185ull, 0x228d94e5d2366f9eull, 64},
+    };
+    for (const Case &c : cases) {
+        Rng r(5);
+        pld::Hasher h;
+        uint64_t first = r.below(c.bound);
+        h.u64(first);
+        for (int i = 1; i < 64; ++i)
+            h.u64(r.below(c.bound));
+        EXPECT_EQ(first, c.first) << "bound " << c.bound;
+        EXPECT_EQ(h.digest(), c.digest) << "bound " << c.bound;
+
+        // The next raw value tells how many draws below() consumed.
+        uint64_t after = r.next();
+        Rng raw(5);
+        int consumed = 0;
+        while (consumed < 1000 && raw.next() != after)
+            ++consumed;
+        EXPECT_EQ(consumed, c.rawDraws) << "bound " << c.bound;
+    }
 }

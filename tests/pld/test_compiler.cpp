@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 
+#include "common/hash.h"
 #include "dataflow/runtime.h"
 #include "fabric/device.h"
 #include "ir/builder.h"
 #include "pld/compiler.h"
+#include "rosetta/benchmark.h"
 #include "sys/system.h"
 
 using namespace pld;
@@ -98,6 +101,20 @@ buildAndRun(PldCompiler &pc, const Graph &g, OptLevel level, int n)
     auto rs = sim.run();
     EXPECT_TRUE(rs.completed) << optLevelName(level);
     return sim.takeOutput(0);
+}
+
+/** Digest of one P&R run's placement, move count and Fmax. */
+void
+hashPnr(Hasher &h, const pnr::PnrResult &r)
+{
+    for (auto [c, row] : r.place.pos) {
+        h.i64(c);
+        h.i64(row);
+    }
+    h.u64(r.placeMoves);
+    uint64_t fmax_bits;
+    std::memcpy(&fmax_bits, &r.timing.fmaxMHz, sizeof(fmax_bits));
+    h.u64(fmax_bits);
 }
 
 } // namespace
@@ -326,4 +343,43 @@ TEST(Flow, DfgExtracted)
     AppBuild b = pc.build(g, OptLevel::O1);
     EXPECT_EQ(b.dfg.ops.size(), 2u);
     EXPECT_EQ(b.dfg.links.size(), 3u);
+}
+
+TEST(Flow, PlacementsMatchGoldenFingerprints)
+{
+    // Every page placement of the six Rosetta apps at -O1 and every
+    // monolithic placement at -O3, pinned at effort 1 and seed 7. A
+    // placer change that claims bit-identical output must keep these.
+    CompileOptions o;
+    o.effort = 1.0;
+    o.seed = 7;
+    o.pnrThreads = 1;
+    struct Golden
+    {
+        uint64_t o1;
+        uint64_t o3;
+    };
+    const Golden golden[] = {
+        {0x935ba0c0d5e085ddull, 0xf2e136ddf95ef199ull}, // rendering
+        {0x5071bd9210ea1605ull, 0xabdbcc95084a8d0eull}, // digit rec
+        {0x724dbc3d1a143f11ull, 0xe117006ee67d050eull}, // spam
+        {0xe2b8503ecf5fb6bbull, 0x1a95d3a1b2c51154ull}, // optical
+        {0x63b4c07020abacc2ull, 0x82a60dfc337b78ccull}, // face
+        {0xdac2420601a064c9ull, 0x61aa7ebf3a87c82bull}, // bnn
+    };
+    std::vector<rosetta::Benchmark> apps = rosetta::allBenchmarks();
+    ASSERT_EQ(apps.size(), std::size(golden));
+    for (size_t i = 0; i < apps.size(); ++i) {
+        PldCompiler pc(device(), o);
+        auto digest = [&](OptLevel lvl) {
+            AppBuild b = pc.build(apps[i].graph, lvl);
+            Hasher h;
+            for (const auto &op : b.ops)
+                hashPnr(h, op.pnr);
+            hashPnr(h, b.monoPnr);
+            return h.digest();
+        };
+        EXPECT_EQ(digest(OptLevel::O1), golden[i].o1) << apps[i].name;
+        EXPECT_EQ(digest(OptLevel::O3), golden[i].o3) << apps[i].name;
+    }
 }

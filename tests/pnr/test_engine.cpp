@@ -4,6 +4,7 @@
 #include "hls/compiler.h"
 #include "hls/synthesis.h"
 #include "ir/builder.h"
+#include "obs/trace.h"
 #include "pnr/engine.h"
 
 using namespace pld;
@@ -207,4 +208,23 @@ TEST(Engine, StageTimesAccounted)
     EXPECT_GT(res.placeSeconds, 0.0);
     EXPECT_GT(res.routeSeconds, 0.0);
     EXPECT_GE(res.totalSeconds, res.placeSeconds + res.routeSeconds);
+}
+
+TEST(Engine, RecordsPlacerNsPerMove)
+{
+    // One P&R run records one sample of placer CPU time per annealing
+    // move, so PLD_METRICS shows placer cost without a profiler.
+    auto nl = compiled("k9", 8, true);
+    obs::ScopedTracer st;
+    PnrOptions opts;
+    opts.effort = 0.2;
+    PnrResult res =
+        placeAndRoute(nl, device(), device().pages[4].rect, opts);
+    obs::MetricsSnapshot s = st.tracer().metrics().snapshot();
+    const obs::DistSummary *d = s.dist("pnr.place.ns_per_move");
+    ASSERT_NE(d, nullptr);
+    EXPECT_EQ(d->count, 1u);
+    EXPECT_GT(d->min, 0.0);
+    EXPECT_DOUBLE_EQ(d->min, res.placeCpuSeconds * 1e9 /
+                                 double(res.placeMoves));
 }

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "common/hash.h"
 #include "fabric/device.h"
 #include "pnr/placer.h"
 
@@ -37,6 +38,75 @@ makeChain(int n)
         prev = c;
     }
     return nl;
+}
+
+/**
+ * A mixed netlist with every shape the move evaluator must get right:
+ * two-pin chains, fan-out nets of 3 to 6 pins, DSP and BRAM cells, a
+ * cell that sinks one net twice, a cell on both ends of one net, an
+ * external-input net, a net with no pins and a cell with no nets.
+ */
+Netlist
+makeMixed()
+{
+    Netlist nl;
+    const int widths[] = {1, 8, 18, 32, 64};
+    std::vector<int> clb, dsp, bram;
+    for (int i = 0; i < 120; ++i)
+        clb.push_back(nl.addCell(
+            {SiteKind::Clb, "c" + std::to_string(i), 6, 10, 1, 0, {}}));
+    for (int i = 0; i < 6; ++i)
+        dsp.push_back(nl.addCell(
+            {SiteKind::Dsp, "d" + std::to_string(i), 0, 0, 3, 0, {}}));
+    for (int i = 0; i < 5; ++i)
+        bram.push_back(nl.addCell(
+            {SiteKind::Bram, "b" + std::to_string(i), 0, 0, 2, 0, {}}));
+    nl.addCell({SiteKind::Clb, "idle", 6, 10, 1, 0, {}});
+
+    for (int i = 0; i + 1 < 120; ++i) {
+        int w = nl.addNet("ch" + std::to_string(i), widths[i % 5],
+                          clb[i]);
+        nl.addSink(w, clb[i + 1]);
+    }
+    for (int i = 0; i < 120; i += 10) {
+        int w = nl.addNet("fo" + std::to_string(i), widths[i % 5],
+                          clb[i]);
+        for (int j = 0; j < 3 + i % 4; ++j)
+            nl.addSink(w, clb[(i + 7 + 13 * j) % 120]);
+    }
+    for (int k = 0; k < 6; ++k) {
+        int a = nl.addNet("da" + std::to_string(k), 32, clb[20 * k]);
+        nl.addSink(a, dsp[k]);
+        int m = nl.addNet("dm" + std::to_string(k), 18, dsp[k]);
+        nl.addSink(m, bram[k % 5]);
+        nl.addSink(m, clb[(20 * k + 55) % 120]);
+        int r = nl.addNet("br" + std::to_string(k), 64, bram[k % 5]);
+        for (int j = 0; j < 3; ++j)
+            nl.addSink(r, clb[(20 * k + 31 * j + 3) % 120]);
+    }
+    int twice = nl.addNet("twice", 8, clb[5]);
+    nl.addSink(twice, clb[6]);
+    nl.addSink(twice, clb[6]);
+    nl.addSink(twice, dsp[0]);
+    int loop = nl.addNet("loop", 16, clb[7]);
+    nl.addSink(loop, clb[7]);
+    nl.addSink(loop, clb[50]);
+    int ext = nl.addNet("ext", 32, -1);
+    for (int c : {0, 60, 90})
+        nl.addSink(ext, clb[c]);
+    nl.addNet("none", 32, -1);
+    return nl;
+}
+
+uint64_t
+posHash(const Placement &p)
+{
+    Hasher h;
+    for (auto [c, r] : p.pos) {
+        h.i64(c);
+        h.i64(r);
+    }
+    return h.digest();
 }
 
 } // namespace
@@ -139,7 +209,48 @@ TEST(Placer, CostFunctionMatchesStandalone)
     PlacerOptions opts;
     opts.effort = 0.2;
     PlaceResult pr = place(nl, device(), device().pages[0].rect, opts);
-    double standalone =
-        placementCost(nl, device(), pr.place, opts.slrPenalty);
+    double standalone = placementCost(nl, device(), pr.place);
     EXPECT_NEAR(pr.finalCost, standalone, 1e-6 + standalone * 1e-9);
+}
+
+TEST(Placer, GoldenTrajectories)
+{
+    // Pinned annealing results: any change to the cost arithmetic,
+    // the RNG draws or the accept test shows up here. The region
+    // straddles the SLR boundary (row 288) so the crossing penalty
+    // is exercised, and is small enough that swaps with occupied
+    // sites are common.
+    Netlist nl = makeMixed();
+    const Rect region{0, 276, 14, 24};
+    struct Golden
+    {
+        uint64_t seed;
+        int restarts;
+        uint64_t posHash;
+        double finalCost;
+        uint64_t attempted;
+        uint64_t accepted;
+    };
+    const Golden golden[] = {
+        {3, 1, 0xf48e0b9faf3e9508ull, 2467.59375, 39200, 18059},
+        {11, 1, 0xa95f55ea764f83a5ull, 2688.03125, 40250, 18858},
+        {3, 4, 0x330fc91a18bbb5d5ull, 2436.40625, 158200, 72431},
+        {11, 4, 0x278b09fc7882f042ull, 2357.8125, 161000, 73423},
+    };
+    for (const Golden &g : golden) {
+        PlacerOptions opts;
+        opts.seed = g.seed;
+        opts.restarts = g.restarts;
+        opts.threads = static_cast<unsigned>(g.restarts);
+        PlaceResult pr = place(nl, device(), region, opts);
+        std::string at = "seed " + std::to_string(g.seed) +
+                         " restarts " + std::to_string(g.restarts);
+        EXPECT_EQ(posHash(pr.place), g.posHash) << at;
+        EXPECT_EQ(pr.finalCost, g.finalCost) << at;
+        // Costs are exact, so the running total needs no recompute.
+        EXPECT_EQ(pr.finalCost, placementCost(nl, device(), pr.place))
+            << at;
+        EXPECT_EQ(pr.movesAttempted, g.attempted) << at;
+        EXPECT_EQ(pr.movesAccepted, g.accepted) << at;
+    }
 }
