@@ -1,75 +1,17 @@
 #include "common/thread_pool.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <exception>
+#include <mutex>
+#include <system_error>
+#include <thread>
+#include <vector>
+
+#include "common/stopwatch.h"
 
 namespace pld {
-
-ThreadPool::ThreadPool(unsigned num_workers)
-{
-    if (num_workers == 0) {
-        num_workers = std::thread::hardware_concurrency();
-        if (num_workers == 0)
-            num_workers = 4;
-    }
-    workers.reserve(num_workers);
-    for (unsigned i = 0; i < num_workers; ++i)
-        workers.emplace_back([this] { workerLoop(); });
-}
-
-ThreadPool::~ThreadPool()
-{
-    {
-        std::lock_guard<std::mutex> lk(mtx);
-        stopping = true;
-    }
-    cvWork.notify_all();
-    for (auto &w : workers)
-        w.join();
-}
-
-void
-ThreadPool::submit(std::function<void()> job)
-{
-    {
-        std::lock_guard<std::mutex> lk(mtx);
-        queue.push_back(std::move(job));
-    }
-    cvWork.notify_one();
-}
-
-void
-ThreadPool::wait()
-{
-    std::unique_lock<std::mutex> lk(mtx);
-    cvDone.wait(lk, [this] { return queue.empty() && active == 0; });
-}
-
-void
-ThreadPool::workerLoop()
-{
-    for (;;) {
-        std::function<void()> job;
-        {
-            std::unique_lock<std::mutex> lk(mtx);
-            cvWork.wait(lk, [this] { return stopping || !queue.empty(); });
-            if (stopping && queue.empty())
-                return;
-            job = std::move(queue.front());
-            queue.pop_front();
-            ++active;
-        }
-        job();
-        {
-            std::lock_guard<std::mutex> lk(mtx);
-            --active;
-            if (queue.empty() && active == 0)
-                cvDone.notify_all();
-        }
-    }
-}
-
-// ---- ThreadBudget ---------------------------------------------------
 
 namespace {
 
@@ -85,55 +27,80 @@ configuredTotal()
     return hw ? hw : 4;
 }
 
-/** Free slots; exact reservations may drive this negative. */
+/** Free slots: the total less the outermost caller's own thread.
+ * Exact requests may drive this negative. */
 std::atomic<long long> &
 freeSlots()
 {
     static std::atomic<long long> slots{
-        static_cast<long long>(ThreadBudget::total())};
+        static_cast<long long>(ThreadBudget::total()) - 1};
     return slots;
 }
 
 } // namespace
+
+ParallelRun
+parallelFor(size_t n, unsigned threads,
+            const std::function<void(size_t)> &fn)
+{
+    ParallelRun run;
+    if (n == 0)
+        return run;
+    // Lease the workers beyond the caller: an exact request takes
+    // them even from an exhausted budget, auto only what is free.
+    auto &slots = freeSlots();
+    long long want = static_cast<long long>(
+        std::min<size_t>(n, threads ? threads : n) - 1);
+    long long cur = slots.load(std::memory_order_relaxed), workers;
+    do {
+        workers = threads ? want : std::clamp(cur, 0ll, want);
+    } while (!slots.compare_exchange_weak(cur, cur - workers,
+                                          std::memory_order_relaxed));
+
+    std::atomic<size_t> next{0};
+    std::mutex mtx;
+    std::exception_ptr error;
+    auto drain = [&] {
+        // CPU clock, not wall: a timeshared thread's busy time must
+        // not count the time it spends descheduled.
+        ThreadCpuStopwatch cpu;
+        try {
+            for (size_t i = next++; i < n; i = next++)
+                fn(i);
+        } catch (...) {
+            next.store(n);
+            std::lock_guard<std::mutex> lk(mtx);
+            if (!error)
+                error = std::current_exception();
+        }
+        double s = cpu.seconds();
+        std::lock_guard<std::mutex> lk(mtx);
+        run.cpuSeconds += s;
+    };
+    std::vector<std::thread> pool;
+    pool.reserve(workers);
+    try {
+        for (long long w = 0; w < workers; ++w)
+            pool.emplace_back(drain);
+    } catch (const std::system_error &) {
+        // Out of threads: results never depend on the thread count,
+        // so finish on the ones that started.
+    }
+    drain();
+    for (auto &t : pool)
+        t.join();
+    slots.fetch_add(workers, std::memory_order_relaxed);
+    if (error)
+        std::rethrow_exception(error);
+    run.threads = static_cast<unsigned>(pool.size()) + 1;
+    return run;
+}
 
 unsigned
 ThreadBudget::total()
 {
     static unsigned t = configuredTotal();
     return t;
-}
-
-unsigned
-ThreadBudget::acquire(unsigned want)
-{
-    if (want == 0)
-        return 0;
-    auto &slots = freeSlots();
-    long long cur = slots.load(std::memory_order_relaxed);
-    for (;;) {
-        long long grant =
-            std::min<long long>(want, std::max<long long>(0, cur));
-        if (grant == 0)
-            return 0;
-        if (slots.compare_exchange_weak(cur, cur - grant,
-                                        std::memory_order_relaxed))
-            return static_cast<unsigned>(grant);
-    }
-}
-
-unsigned
-ThreadBudget::acquireExact(unsigned want)
-{
-    freeSlots().fetch_sub(static_cast<long long>(want),
-                          std::memory_order_relaxed);
-    return want;
-}
-
-void
-ThreadBudget::release(unsigned n)
-{
-    freeSlots().fetch_add(static_cast<long long>(n),
-                          std::memory_order_relaxed);
 }
 
 unsigned

@@ -1,85 +1,60 @@
 /**
  * @file
- * Fixed-size worker pool used for parallel page compilation and the
- * parallel place-and-route engine, plus a process-wide thread budget.
+ * One fork-join primitive, parallelFor, plus the process-wide thread
+ * budget it leases workers from.
  *
  * The PLD -O1 flow compiles independent pages concurrently (paper
  * Sec 6.2: "All the operators' compilations can be performed in
- * parallel"), and each page compile may itself parallelize its P&R
- * inner loops. The ThreadBudget keeps that nested parallelism
- * (pages x P&R threads) from oversubscribing the machine: every pool
- * leases its workers from one shared budget, so the total number of
- * busy threads stays near the hardware concurrency no matter how the
- * parallelism nests.
+ * parallel"), and each page compile may itself parallelize its
+ * placement restarts and routing batches. Every one of those sites
+ * is a parallelFor call. The ThreadBudget keeps the nested
+ * parallelism (pages x P&R threads) from oversubscribing the machine:
+ * the outermost caller counts as one busy thread and every worker is
+ * leased from the shared budget, so the total number of busy threads
+ * stays near the hardware concurrency no matter how calls nest.
  */
 
 #ifndef PLD_COMMON_THREAD_POOL_H
 #define PLD_COMMON_THREAD_POOL_H
 
-#include <condition_variable>
-#include <deque>
+#include <cstddef>
 #include <functional>
-#include <mutex>
-#include <thread>
-#include <vector>
 
 namespace pld {
 
-/**
- * Simple work-queue thread pool. submit() enqueues a job; wait()
- * blocks until every submitted job has finished. Jobs may submit
- * further jobs into the same pool (nested parallelism); wait() covers
- * those too. The pool drains any still-queued work before joining its
- * workers on destruction.
- */
-class ThreadPool
+/** What one parallelFor() call ran on. */
+struct ParallelRun
 {
-  public:
-    /** Spawn @p num_workers threads (0 means hardware_concurrency). */
-    explicit ThreadPool(unsigned num_workers = 0);
-
-    ~ThreadPool();
-
-    ThreadPool(const ThreadPool &) = delete;
-    ThreadPool &operator=(const ThreadPool &) = delete;
-
-    /** Enqueue a job for execution on some worker. */
-    void submit(std::function<void()> job);
-
-    /** Block until all submitted jobs have completed. */
-    void wait();
-
-    /** Number of worker threads. */
-    unsigned workerCount() const { return workers.size(); }
-
-  private:
-    void workerLoop();
-
-    std::vector<std::thread> workers;
-    std::deque<std::function<void()>> queue;
-    std::mutex mtx;
-    std::condition_variable cvWork;
-    std::condition_variable cvDone;
-    unsigned active = 0;
-    bool stopping = false;
+    /** Threads that took part, the caller included (0 when n = 0). */
+    unsigned threads = 0;
+    /** Summed thread-CPU seconds of those threads: busy time, not
+     * time spent descheduled. */
+    double cpuSeconds = 0;
 };
 
 /**
- * Process-wide parallelism budget shared by every pool in the
- * compiler. The budget starts at total() slots; components reserve
- * worker slots with acquire() and hand them back with release().
+ * Run fn(i) for every i in [0, n) on the calling thread plus workers
+ * leased from the ThreadBudget, and return once all have finished.
  *
- * Two reservation modes:
- *  - capped (acquire): grants at most what is free — used by "auto"
- *    thread counts so nested parallel stages degrade to serial
- *    instead of oversubscribing;
- *  - exact (acquireExact): grants the full request even when the
- *    budget is exhausted — used when the caller explicitly asked for
- *    N threads (benchmarks, tests) and must get them.
+ *  - @p threads = 0 ("auto") adds as many workers as the budget has
+ *    free, up to n - 1, so a nested call inside a run that holds the
+ *    whole budget degrades to the caller alone;
+ *  - @p threads = N runs exactly min(N, n) threads, even when the
+ *    budget is exhausted (explicit requests from benchmarks and
+ *    tests must get what they asked for).
  *
- * Thread counts never affect results anywhere in the P&R engine (see
- * DESIGN.md "Parallel place-and-route"), so a capped grant only
- * changes wall time, never output.
+ * Items are claimed one at a time in index order; which thread runs
+ * an item is scheduling, so fn must write only state owned by item
+ * i. If fn throws, the remaining items are skipped and the first
+ * exception is rethrown to the caller once every thread has stopped.
+ */
+ParallelRun parallelFor(size_t n, unsigned threads,
+                        const std::function<void(size_t)> &fn);
+
+/**
+ * Process-wide parallelism budget shared by every parallelFor. It
+ * holds total() slots, one of them taken from the start by the
+ * outermost caller; parallelFor leases the rest as workers.
  */
 class ThreadBudget
 {
@@ -87,38 +62,8 @@ class ThreadBudget
     /** Total budget: PLD_THREADS env override, else hardware. */
     static unsigned total();
 
-    /** Reserve up to @p want slots; returns the granted count. */
-    static unsigned acquire(unsigned want);
-
-    /** Reserve exactly @p want slots, even if over budget. */
-    static unsigned acquireExact(unsigned want);
-
-    /** Return @p n previously granted slots. */
-    static void release(unsigned n);
-
-    /** Currently unreserved slots (telemetry/tests). */
+    /** Slots no running parallelFor holds (telemetry/tests). */
     static unsigned available();
-};
-
-/** RAII lease of thread-budget slots. */
-class BudgetLease
-{
-  public:
-    explicit BudgetLease(unsigned want, bool exact = false)
-        : n(exact ? ThreadBudget::acquireExact(want)
-                  : ThreadBudget::acquire(want))
-    {
-    }
-    ~BudgetLease() { ThreadBudget::release(n); }
-
-    BudgetLease(const BudgetLease &) = delete;
-    BudgetLease &operator=(const BudgetLease &) = delete;
-
-    /** Number of slots actually granted. */
-    unsigned count() const { return n; }
-
-  private:
-    unsigned n;
 };
 
 } // namespace pld

@@ -19,15 +19,16 @@
  * categories, args, parent/child shape) and all deterministic counter
  * totals are identical for every PLD_THREADS value; only timestamps,
  * durations, and thread ids vary. Two mechanisms make that hold under
- * the thread pools:
+ * parallelFor:
  *
- *  - logical parenting: code that fans work out to a pool captures
- *    currentSpan() and passes the token to Span's explicit-parent
- *    constructor, so a span's parent is its logical caller, not
- *    whatever happened to be on the worker's stack;
- *  - scheduling-dependent events (router lanes, wait counts) are
- *    marked non-structural (category "sched" / counter prefix
- *    "sched.") and excluded from structureHash().
+ *  - logical parenting: code that fans work out with parallelFor
+ *    captures currentSpan() and passes the token to Span's
+ *    explicit-parent constructor, so a span's parent is its logical
+ *    caller, not whatever happened to be on the running thread's
+ *    stack;
+ *  - scheduling-dependent events (which thread wins a cache race,
+ *    wait counts) are marked non-structural (category "sched" /
+ *    counter prefix "sched.") and excluded from structureHash().
  */
 
 #ifndef PLD_OBS_TRACE_H
@@ -195,9 +196,9 @@ constexpr uint64_t kAutoParent = ~0ull;
 
 /**
  * Token of the innermost open span on this thread (0 when none or
- * tracing is off). Capture it before fanning work out to a thread
- * pool and pass it to Span's parent argument so logical nesting
- * survives the thread hop.
+ * tracing is off). Capture it before fanning work out with
+ * parallelFor and pass it to Span's parent argument so logical
+ * nesting survives the thread hop.
  */
 uint64_t currentSpan();
 

@@ -714,11 +714,12 @@ PldCompiler::build(const ir::Graph &g, OptLevel level,
     // A compile that throws fails its cache claim on the way out
     // (waiters are never stranded), and the catch blocks turn the
     // exception into a failed OperatorOutcome instead of letting it
-    // escape into the thread pool.
+    // abort the other operators' compiles.
     out.ops.resize(g.ops.size());
-    // Per-op spans parent to the build span by token: pool workers'
-    // own span stacks are empty (or stale), and lease grants vary
-    // with load, so auto-parenting would be scheduling-dependent.
+    // Per-op spans parent to the build span by token: parallelFor
+    // workers' own span stacks are empty, and which operators run on
+    // the calling thread varies with load, so auto-parenting would
+    // be scheduling-dependent.
     uint64_t build_tok = obs::currentSpan();
     auto compile_one = [&](size_t oi) {
         const auto &fn = g.ops[oi].fn;
@@ -793,20 +794,7 @@ PldCompiler::build(const ir::Graph &g, OptLevel level,
             out.ops[oi].outcome = std::move(bad);
         }
     };
-    {
-        unsigned want = opts.parallelJobs ? opts.parallelJobs
-                                          : ThreadBudget::total();
-        BudgetLease lease(want);
-        if (lease.count() == 0 || g.ops.size() <= 1) {
-            for (size_t oi = 0; oi < g.ops.size(); ++oi)
-                compile_one(oi);
-        } else {
-            ThreadPool pool(lease.count());
-            for (size_t oi = 0; oi < g.ops.size(); ++oi)
-                pool.submit([&compile_one, oi] { compile_one(oi); });
-            pool.wait();
-        }
-    }
+    parallelFor(g.ops.size(), opts.parallelJobs, compile_one);
 
     for (const auto &art : out.ops) {
         if (!art.fromCache && !art.outcome.failed)

@@ -189,9 +189,10 @@ struct CompileOptions
 {
     /** Place-and-route effort multiplier. */
     double effort = 1.0;
-    /** Worker threads for parallel page compiles (0 = thread-budget
-     * auto). Leased from the shared ThreadBudget so page parallelism
-     * and P&R-internal parallelism compose without oversubscribing. */
+    /** Threads for parallel page compiles, the caller included: 0 =
+     * whatever the shared ThreadBudget has free (up to one per
+     * operator; nested auto P&R gets only what is left), N = exactly
+     * N. Never affects results. */
     unsigned parallelJobs = 0;
     /** Threads inside each place-and-route run (0 = budget auto). */
     unsigned pnrThreads = 0;

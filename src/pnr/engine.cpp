@@ -96,7 +96,6 @@ placeAndRoute(const Netlist &net, const Device &dev,
     RouterOptions ropts;
     ropts.channelCapacity = opts.channelCapacity;
     ropts.maxIters = opts.routeMaxIters;
-    ropts.seed = opts.seed;
     ropts.threads = opts.threads;
     {
         obs::Span rspan("pnr", "pnr.route");

@@ -39,11 +39,11 @@ struct PnrOptions
     bool abstractShell = true;
     int channelCapacity = 64;
     /**
-     * Parallelism for the P&R inner loops (router lanes and
-     * concurrent placement restarts): 0 = take whatever the shared
-     * ThreadBudget has free (safe under nested page parallelism),
-     * 1 = serial, N = exactly N threads. Results are bit-identical
-     * for every value (see DESIGN.md "Parallel place-and-route").
+     * parallelFor threads for placement restarts and each routing
+     * batch: 0 = whatever the shared ThreadBudget has free (serial
+     * inside a page compile that holds the budget), 1 = serial, N =
+     * exactly N threads. Results are bit-identical for every value
+     * (see DESIGN.md "Parallel place-and-route").
      */
     unsigned threads = 0;
     /** Independent annealing restarts; best-cost placement wins. */
@@ -77,7 +77,7 @@ struct PnrResult
     TimingResult timing;
     Bitstream bits;
     double placeSeconds = 0;   ///< wall (restarts overlap)
-    double routeSeconds = 0;   ///< wall (lanes overlap)
+    double routeSeconds = 0;   ///< wall (nets overlap)
     double bitgenSeconds = 0;
     double contextSeconds = 0; ///< full-context load when no shell
     double totalSeconds = 0;
@@ -87,7 +87,7 @@ struct PnrResult
     /** Annealing moves attempted across all restarts (deterministic
      * work proxy for compile-time scaling tests). */
     uint64_t placeMoves = 0;
-    /** Router lanes actually used. */
+    /** Most threads a routing batch ran on. */
     unsigned threadsUsed = 1;
     /** Achieved Fmax meets PnrOptions::requiredFmaxMHz (vacuously
      * true when no clock is required). */

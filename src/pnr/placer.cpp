@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
 
 #include "common/logging.h"
 #include "common/rng.h"
@@ -187,7 +186,7 @@ class Annealer
                 double(acc_this_temp) / double(moves_per_temp);
             // The annealing schedule is a pure function of the seed,
             // so these instants are structural even under restarts
-            // running on pool workers.
+            // running on parallelFor workers.
             obs::instant("pnr", "pnr.place.temp")
                 .arg("step", static_cast<int64_t>(temp_steps))
                 .arg("accepted",
@@ -397,9 +396,9 @@ class Annealer
 
 /** Seed for restart @p r; restart 0 keeps the caller's seed. */
 uint64_t
-restartSeed(uint64_t seed, int r)
+restartSeed(uint64_t seed, uint64_t r)
 {
-    return seed + 0x9E3779B97F4A7C15ull * static_cast<uint64_t>(r);
+    return seed + 0x9E3779B97F4A7C15ull * r;
 }
 
 } // namespace
@@ -412,11 +411,12 @@ place(const Netlist &net, const Device &dev, const Rect &region,
     int restarts = std::max(1, opts.restarts);
     std::vector<PlaceResult> results(restarts);
 
-    // Restarts may run on pool workers, whose span stacks belong to
-    // whatever they last executed — parent each restart to the
-    // logical caller instead.
+    // Restarts may run on parallelFor workers, whose span stacks are
+    // empty; parent each restart to the logical caller instead.
+    // Restart results never depend on where they ran, so the thread
+    // count only affects wall time.
     uint64_t parent_tok = obs::currentSpan();
-    auto run_one = [&](int r) {
+    parallelFor(restarts, opts.threads, [&](size_t r) {
         obs::Span span("pnr", "pnr.place.restart", parent_tok);
         span.arg("restart", static_cast<int64_t>(r));
         PlacerOptions o = opts;
@@ -426,31 +426,7 @@ place(const Netlist &net, const Device &dev, const Rect &region,
         span.arg("moves",
                  static_cast<int64_t>(results[r].movesAttempted));
         obs::count("pnr.place.restarts");
-    };
-
-    unsigned want =
-        opts.threads ? opts.threads : ThreadBudget::total();
-    want = std::min<unsigned>(want, static_cast<unsigned>(restarts));
-    if (restarts == 1 || want <= 1) {
-        for (int r = 0; r < restarts; ++r)
-            run_one(r);
-    } else {
-        // The calling thread runs restart 0; extra restarts go to
-        // leased workers. Restart results never depend on where they
-        // ran, so a smaller-than-requested grant only affects wall
-        // time.
-        BudgetLease lease(want - 1, /*exact=*/opts.threads > 0);
-        if (lease.count() == 0) {
-            for (int r = 0; r < restarts; ++r)
-                run_one(r);
-        } else {
-            ThreadPool pool(lease.count());
-            for (int r = 1; r < restarts; ++r)
-                pool.submit([&, r] { run_one(r); });
-            run_one(0);
-            pool.wait();
-        }
-    }
+    });
 
     // Best cost wins; ties go to the lowest restart index so the
     // outcome is identical for every thread count.

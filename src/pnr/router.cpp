@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
 
 #include "common/logging.h"
 #include "common/stopwatch.h"
@@ -26,12 +25,7 @@ demandOf(int width)
 
 /**
  * Router working state: per-tile present demand and history cost.
- *
- * Each negotiation iteration routes its whole worklist against the
- * demand/history arrays frozen at the iteration start; new demand
- * accumulates in per-lane delta arrays merged at the barrier. Merging
- * sums integers, so the final state is independent of how the
- * worklist was chunked across lanes.
+ * Each negotiation iteration is one routeBatch() over its worklist.
  */
 class PathFinder
 {
@@ -51,20 +45,6 @@ class PathFinder
         Stopwatch sw;
         RouteResult res;
 
-        // Parallel lanes: the calling thread plus leased workers.
-        unsigned want =
-            opts.threads ? opts.threads : ThreadBudget::total();
-        std::unique_ptr<BudgetLease> lease;
-        std::unique_ptr<ThreadPool> pool;
-        if (want > 1) {
-            lease = std::make_unique<BudgetLease>(
-                want - 1, /*exact=*/opts.threads > 0);
-            if (lease->count() > 0)
-                pool = std::make_unique<ThreadPool>(lease->count());
-        }
-        unsigned lanes = pool ? pool->workerCount() + 1 : 1;
-        double cpu = 0;
-
         // Initial route of every net.
         std::vector<int> work(net.nets.size());
         for (size_t ni = 0; ni < net.nets.size(); ++ni)
@@ -72,7 +52,7 @@ class PathFinder
         {
             obs::Span init("pnr", "pnr.route.init");
             init.arg("nets", static_cast<int64_t>(work.size()));
-            routeBatch(work, lanes, pool.get(), cpu);
+            routeBatch(work, res);
         }
 
         int iter = 1;
@@ -101,7 +81,7 @@ class PathFinder
             obs::count("pnr.route.ripups",
                        static_cast<int64_t>(work.size()));
             ispan.arg("rerouted", static_cast<int64_t>(work.size()));
-            routeBatch(work, lanes, pool.get(), cpu);
+            routeBatch(work, res);
         }
 
         res.iterations = iter;
@@ -118,8 +98,6 @@ class PathFinder
         res.maxUtilization =
             static_cast<double>(peak) / opts.channelCapacity;
         res.seconds = sw.seconds();
-        res.cpuSeconds = cpu;
-        res.threadsUsed = lanes;
         res.routes = std::move(routes);
         return res;
     }
@@ -170,85 +148,44 @@ class PathFinder
         return cost;
     }
 
-    /**
-     * Route one net against the frozen congestion state, adding its
-     * demand to @p delta (merged at the iteration barrier).
-     */
+    /** Route one net against the frozen congestion state into
+     * routes[ni]; its demand is committed after the batch. */
     void
-    routeNet(int ni, std::vector<int> &delta)
+    routeNet(int ni)
     {
         const auto &nn = net.nets[ni];
         if (nn.driver < 0 || nn.sinks.empty())
             return;
         auto [c0, r0] = place.pos[nn.driver];
-        int dem = demandOf(nn.width);
-        auto &path = routes[ni];
         for (int s : nn.sinks) {
             auto [c1, r1] = place.pos[s];
             if (c0 == c1 && r0 == r1)
                 continue;
             double ch = walkL(c0, r0, c1, r1, true, nullptr);
             double cv = walkL(c0, r0, c1, r1, false, nullptr);
-            std::vector<std::pair<int, int>> leg;
-            walkL(c0, r0, c1, r1, ch <= cv, &leg);
-            for (auto [c, r] : leg) {
-                delta[tileIdx(c, r)] += dem;
-                path.emplace_back(c, r);
-            }
+            walkL(c0, r0, c1, r1, ch <= cv, &routes[ni]);
         }
     }
 
     /**
-     * Route @p work against the frozen state across up to @p lanes
-     * chunks. Results are chunk-count independent: every net reads
-     * only the frozen demand/history, writes only its own routes[ni]
-     * slot, and the per-lane deltas merge by integer addition.
+     * Route @p work against the frozen state, one parallelFor item
+     * per net, then add the new paths' demand in work order. Each
+     * net reads only the frozen demand/history and writes only its
+     * own routes[ni] slot, so the thread count never shows.
      */
     void
-    routeBatch(const std::vector<int> &work, unsigned lanes,
-               ThreadPool *pool, double &cpu)
+    routeBatch(const std::vector<int> &work, RouteResult &res)
     {
-        if (work.empty())
-            return;
-        unsigned chunks = std::min<unsigned>(
-            lanes, static_cast<unsigned>(work.size()));
-        std::vector<std::vector<int>> deltas(chunks);
-        std::vector<double> lane_seconds(chunks, 0.0);
-        size_t per = (work.size() + chunks - 1) / chunks;
-        // Lane count and chunk boundaries depend on PLD_THREADS, so
-        // lane spans are scheduling telemetry, not structure.
-        uint64_t parent_tok = obs::currentSpan();
-        auto run_chunk = [&](unsigned c) {
-            obs::Span lane_span("sched", "pnr.route.lane", parent_tok,
-                                /*structural=*/false);
-            lane_span.arg("lane", static_cast<int64_t>(c));
-            // CPU clock, not wall: lane busy time must not count the
-            // time a timeshared worker spends descheduled.
-            ThreadCpuStopwatch lane;
-            auto &d = deltas[c];
-            d.assign(demand.size(), 0);
-            size_t b = c * per;
-            size_t e = std::min(work.size(), b + per);
-            for (size_t i = b; i < e; ++i)
-                routeNet(work[i], d);
-            lane_seconds[c] = lane.seconds();
-            lane_span.arg("nets", static_cast<int64_t>(e - b));
-        };
-        if (chunks > 1 && pool) {
-            for (unsigned c = 1; c < chunks; ++c)
-                pool->submit([&run_chunk, c] { run_chunk(c); });
-            run_chunk(0);
-            pool->wait();
-        } else {
-            for (unsigned c = 0; c < chunks; ++c)
-                run_chunk(c);
+        ParallelRun run = parallelFor(
+            work.size(), opts.threads,
+            [&](size_t i) { routeNet(work[i]); });
+        for (int ni : work) {
+            int dem = demandOf(net.nets[ni].width);
+            for (auto [c, r] : routes[ni])
+                demand[tileIdx(c, r)] += dem;
         }
-        for (unsigned c = 0; c < chunks; ++c) {
-            const auto &d = deltas[c];
-            for (size_t t = 0; t < demand.size(); ++t)
-                demand[t] += d[t];
-            cpu += lane_seconds[c];
-        }
+        res.cpuSeconds += run.cpuSeconds;
+        res.threadsUsed = std::max(res.threadsUsed, run.threads);
     }
 
     void

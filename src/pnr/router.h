@@ -11,10 +11,10 @@
  *
  * The negotiation loop is batch-synchronous: every net in an
  * iteration routes against the congestion state frozen at the
- * iteration barrier, accumulating per-thread demand deltas that are
- * merged (integer sums, order-independent) before the next
- * iteration. Independent nets therefore route concurrently while the
- * result stays bit-identical for every thread count.
+ * iteration start (one parallelFor item per net), and the batch's
+ * paths then add their demand in worklist order. Nets never see each
+ * other's demand within a batch, so the result is bit-identical for
+ * every thread count.
  */
 
 #ifndef PLD_PNR_ROUTER_H
@@ -31,9 +31,11 @@ struct RouterOptions
     int channelCapacity = 64;
     /** Maximum rip-up/reroute iterations. */
     int maxIters = 8;
+    /** Read by nothing (the router draws no random numbers); kept
+     * because perfbench sets it. */
     uint64_t seed = 1;
-    /** Concurrent net routing: 0 = thread-budget auto, 1 = serial,
-     * N = exactly N threads. Never affects results. */
+    /** parallelFor threads per batch: 0 = thread-budget auto, 1 =
+     * serial, N = exactly N threads. Never affects results. */
     unsigned threads = 1;
 };
 
@@ -46,9 +48,9 @@ struct RouteResult
     double maxUtilization = 0;   ///< peak tile demand / capacity
     /** Wall-clock of the routing run. */
     double seconds = 0;
-    /** Summed busy time across routing lanes (single-node cost). */
+    /** Summed thread-CPU time of every batch (single-node cost). */
     double cpuSeconds = 0;
-    /** Parallel lanes used (1 = serial). */
+    /** Most threads any batch ran on (1 = serial). */
     unsigned threadsUsed = 1;
     /** Tiles crossed by each net, in routing order (determinism
      * checks and downstream analysis). */

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <system_error>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -72,15 +73,12 @@ DaemonServer::stop()
             ::shutdown(fd, SHUT_RDWR);
     }
     // In-flight requests still run to completion (and publish to the
-    // store/coalescer); new connections are already refused.
-    std::vector<std::thread> handlers;
+    // store/coalescer); new connections are already refused. Handlers
+    // are detached, so wait for each to deregister its connection.
     {
-        std::lock_guard<std::mutex> lk(mtx_);
-        handlers.swap(handlers_);
+        std::unique_lock<std::mutex> lk(mtx_);
+        cv_.wait(lk, [&] { return clientFds_.empty(); });
     }
-    for (auto &t : handlers)
-        if (t.joinable())
-            t.join();
     if (listenFd_ >= 0) {
         ::close(listenFd_);
         listenFd_ = -1;
@@ -119,8 +117,19 @@ DaemonServer::acceptLoop()
             ::close(fd);
             return;
         }
+        // Detached: a finished connection's thread exits and frees
+        // its stack at once instead of living until stop(). The
+        // handler deregisters under mtx_, so registering after the
+        // spawn (still under the lock) cannot race it.
+        try {
+            std::thread([this, fd] { handleClient(fd); }).detach();
+        } catch (const std::system_error &e) {
+            pld_warn("pldd: dropping client, no handler thread: %s",
+                     e.what());
+            ::close(fd);
+            continue;
+        }
         clientFds_.push_back(fd);
-        handlers_.emplace_back([this, fd] { handleClient(fd); });
     }
 }
 
@@ -215,13 +224,16 @@ DaemonServer::handleClient(int fd)
         }
     }
     // Deregister before closing so stop() never shutdown()s a
-    // descriptor number the kernel has already recycled.
+    // descriptor number the kernel has already recycled. Notify under
+    // the lock: once it is released, stop() may return and the server
+    // may be destroyed, so nothing after it may touch a member.
     {
         std::lock_guard<std::mutex> lk(mtx_);
         auto it =
             std::find(clientFds_.begin(), clientFds_.end(), fd);
         if (it != clientFds_.end())
             clientFds_.erase(it);
+        cv_.notify_all();
     }
     ::close(fd);
 }

@@ -12,12 +12,16 @@
  * writeFrame, never a SIGPIPE) — so a second client waiting on the
  * same request always gets the artifact.
  *
+ * Handler threads are detached, so a finished connection costs
+ * nothing after it closes; the live-connection list is what stop()
+ * waits on.
+ *
  * Shutdown protocol: a ShutdownReq frame acks, then wakes
  * waitForShutdownRequest(); `pldd` then calls stop(), which stops
  * accepting, shuts down every live client connection (so handlers
  * blocked in readFrame wake with EOF instead of waiting for clients
- * that may never hang up), joins the handlers, and removes the
- * socket.
+ * that may never hang up), waits until every handler has
+ * deregistered its connection, and removes the socket.
  */
 
 #ifndef PLD_SVC_SERVER_H
@@ -56,8 +60,8 @@ class DaemonServer
      * socket path is unusable (too long, bind refused). */
     void start();
 
-    /** Stop accepting, join every handler, unlink the socket.
-     * Idempotent. */
+    /** Stop accepting, wait for every live connection's handler to
+     * finish, unlink the socket. Idempotent. */
     void stop();
 
     /** Block until some client sends ShutdownReq (or stop() runs). */
@@ -76,8 +80,8 @@ class DaemonServer
 
     std::thread acceptThread_;
     std::mutex mtx_;
+    /** Signals a shutdown request, stop(), and a handler leaving. */
     std::condition_variable cv_;
-    std::vector<std::thread> handlers_;
     std::vector<int> clientFds_; ///< live connections (under mtx_)
     bool stopping_ = false;
     bool shutdownRequested_ = false;

@@ -2,133 +2,162 @@
 
 #include <atomic>
 #include <chrono>
+#include <stdexcept>
 #include <thread>
+#include <vector>
 
 #include "common/thread_pool.h"
 
-using pld::ThreadPool;
+using pld::parallelFor;
+using pld::ParallelRun;
+using pld::ThreadBudget;
 
-TEST(ThreadPool, RunsAllJobs)
+namespace {
+
+/**
+ * Block until @p want threads are inside at once (or 10 s pass), and
+ * return the peak seen. Every thread of an exact run must arrive, so
+ * a run that serialised its items would stall here and report 1.
+ */
+unsigned
+meetAll(std::atomic<unsigned> &inside, std::atomic<unsigned> &peak,
+        unsigned want)
 {
-    ThreadPool pool(4);
-    std::atomic<int> count{0};
-    for (int i = 0; i < 100; ++i)
-        pool.submit([&] { count.fetch_add(1); });
-    pool.wait();
-    EXPECT_EQ(count.load(), 100);
+    unsigned now = inside.fetch_add(1) + 1;
+    unsigned p = peak.load();
+    while (now > p && !peak.compare_exchange_weak(p, now)) {}
+    auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (peak.load() < want &&
+           std::chrono::steady_clock::now() < deadline)
+        std::this_thread::yield();
+    inside.fetch_sub(1);
+    return peak.load();
 }
 
-TEST(ThreadPool, WaitIsReusable)
-{
-    ThreadPool pool(2);
-    std::atomic<int> count{0};
-    pool.submit([&] { count.fetch_add(1); });
-    pool.wait();
-    EXPECT_EQ(count.load(), 1);
-    pool.submit([&] { count.fetch_add(1); });
-    pool.submit([&] { count.fetch_add(1); });
-    pool.wait();
-    EXPECT_EQ(count.load(), 3);
-}
+} // namespace
 
-TEST(ThreadPool, ParallelismIsReal)
+TEST(ParallelFor, RunsEveryIndexExactlyOnce)
 {
-    ThreadPool pool(4);
-    EXPECT_EQ(pool.workerCount(), 4u);
-    std::atomic<int> concurrent{0};
-    std::atomic<int> peak{0};
-    for (int i = 0; i < 8; ++i) {
-        pool.submit([&] {
-            int c = concurrent.fetch_add(1) + 1;
-            int p = peak.load();
-            while (c > p && !peak.compare_exchange_weak(p, c)) {}
-            // Sleep so jobs necessarily overlap across 4 workers.
-            std::this_thread::sleep_for(std::chrono::milliseconds(20));
-            concurrent.fetch_sub(1);
-        });
+    for (unsigned threads : {1u, 4u, 0u}) {
+        std::vector<std::atomic<int>> hits(1000);
+        ParallelRun run = parallelFor(
+            hits.size(), threads,
+            [&](size_t i) { hits[i].fetch_add(1); });
+        for (size_t i = 0; i < hits.size(); ++i)
+            ASSERT_EQ(hits[i].load(), 1)
+                << "index " << i << " threads " << threads;
+        EXPECT_EQ(run.threads,
+                  threads ? threads : ThreadBudget::total());
     }
-    pool.wait();
-    EXPECT_GE(peak.load(), 2);
 }
 
-TEST(ThreadPool, EmptyWaitReturns)
+TEST(ParallelFor, ZeroItemsRunNothing)
 {
-    ThreadPool pool(2);
-    pool.wait(); // must not hang
-    pool.wait(); // and must stay reusable with nothing queued
-    SUCCEED();
+    std::atomic<int> calls{0};
+    for (unsigned threads : {1u, 4u, 0u}) {
+        ParallelRun run = parallelFor(
+            0, threads, [&](size_t) { calls.fetch_add(1); });
+        EXPECT_EQ(run.threads, 0u);
+        EXPECT_EQ(run.cpuSeconds, 0.0);
+    }
+    EXPECT_EQ(calls.load(), 0);
 }
 
-TEST(ThreadPool, SubmitFromWorker)
+TEST(ParallelFor, ExactCountRunsInParallel)
 {
-    // Nested parallelism: a job may fan out further jobs into the
-    // same pool; wait() must cover work submitted by workers.
-    ThreadPool pool(3);
-    std::atomic<int> count{0};
-    pool.submit([&] {
-        for (int i = 0; i < 16; ++i)
-            pool.submit([&] { count.fetch_add(1); });
-        count.fetch_add(1);
+    // Each item waits for all four threads to be inside at once, so
+    // this only finishes quickly if four threads really run.
+    std::atomic<unsigned> inside{0}, peak{0};
+    ParallelRun run = parallelFor(
+        4, 4, [&](size_t) { meetAll(inside, peak, 4); });
+    EXPECT_EQ(run.threads, 4u);
+    EXPECT_EQ(peak.load(), 4u);
+    // An exact request never runs more threads than items.
+    EXPECT_EQ(parallelFor(3, 8, [](size_t) {}).threads, 3u);
+}
+
+TEST(ParallelFor, AutoTakesTheFreeBudget)
+{
+    // At rest the outermost caller holds one slot and the rest are
+    // free, so auto runs on as many threads as the budget allows.
+    unsigned total = ThreadBudget::total();
+    EXPECT_EQ(ThreadBudget::available(), total - 1);
+    EXPECT_EQ(parallelFor(64, 0, [](size_t) {}).threads, total);
+    EXPECT_EQ(parallelFor(1, 0, [](size_t) {}).threads, 1u);
+}
+
+TEST(ParallelFor, AutoInsideFullBudgetRunsOnCaller)
+{
+    // An auto run at rest leases every free slot; a nested auto run
+    // inside it must then stay on its caller instead of
+    // oversubscribing.
+    unsigned total = ThreadBudget::total();
+    std::atomic<unsigned> free_inside{~0u}, nested{0};
+    ParallelRun outer = parallelFor(total, 0, [&](size_t i) {
+        if (i != 0)
+            return;
+        free_inside = ThreadBudget::available();
+        nested = parallelFor(8, 0, [](size_t) {}).threads;
     });
-    pool.wait();
-    EXPECT_EQ(count.load(), 17);
+    EXPECT_EQ(outer.threads, total);
+    EXPECT_EQ(free_inside.load(), 0u);
+    EXPECT_EQ(nested.load(), 1u);
 }
 
-TEST(ThreadPool, DestructionRunsQueuedWork)
+TEST(ParallelFor, ExactCountGrantedWhenBudgetExhausted)
 {
-    // The pool drains its queue before joining: jobs still queued at
-    // destruction run, none are dropped.
-    std::atomic<int> count{0};
-    {
-        ThreadPool pool(1);
-        pool.submit([&] {
-            std::this_thread::sleep_for(std::chrono::milliseconds(20));
-            count.fetch_add(1);
+    // Explicit thread counts are honoured even with the budget gone.
+    unsigned total = ThreadBudget::total();
+    std::atomic<unsigned> nested{0}, peak{0};
+    parallelFor(total, 0, [&](size_t i) {
+        if (i != 0)
+            return;
+        std::atomic<unsigned> inside{0};
+        nested = parallelFor(3, 3, [&](size_t) {
+                     meetAll(inside, peak, 3);
+                 }).threads;
+    });
+    EXPECT_EQ(nested.load(), 3u);
+    EXPECT_EQ(peak.load(), 3u);
+}
+
+TEST(ParallelFor, ReturnsTheWholeBudget)
+{
+    unsigned before = ThreadBudget::available();
+    for (unsigned threads : {1u, 2u, 4u, 0u}) {
+        parallelFor(16, threads, [](size_t) {});
+        EXPECT_EQ(ThreadBudget::available(), before)
+            << "threads " << threads;
+    }
+    // Nested runs, exact runs past the budget and a throwing run all
+    // hand their slots back too.
+    parallelFor(4, 0, [](size_t) { parallelFor(4, 4, [](size_t) {}); });
+    EXPECT_EQ(ThreadBudget::available(), before);
+    EXPECT_THROW(parallelFor(8, 4,
+                             [](size_t i) {
+                                 if (i == 5)
+                                     throw std::runtime_error("item 5");
+                             }),
+                 std::runtime_error);
+    EXPECT_EQ(ThreadBudget::available(), before);
+}
+
+TEST(ParallelFor, RethrowsTheFirstExceptionAfterJoining)
+{
+    std::atomic<int> finished{0};
+    try {
+        parallelFor(64, 4, [&](size_t i) {
+            if (i == 3)
+                throw std::runtime_error("item 3");
+            finished.fetch_add(1);
         });
-        for (int i = 0; i < 40; ++i)
-            pool.submit([&] { count.fetch_add(1); });
-        // No wait(): destructor must finish the backlog.
+        FAIL() << "exception was swallowed";
+    } catch (const std::runtime_error &e) {
+        EXPECT_STREQ(e.what(), "item 3");
     }
-    EXPECT_EQ(count.load(), 41);
-}
-
-TEST(ThreadPool, ZeroWorkersFallsBackToHardware)
-{
-    ThreadPool pool(0);
-    EXPECT_GE(pool.workerCount(), 1u);
-    std::atomic<int> count{0};
-    pool.submit([&] { count.fetch_add(1); });
-    pool.wait();
-    EXPECT_EQ(count.load(), 1);
-}
-
-TEST(ThreadBudget, CappedAcquireStaysWithinBudget)
-{
-    using pld::ThreadBudget;
-    unsigned avail = ThreadBudget::available();
-    unsigned got = ThreadBudget::acquire(avail + 7);
-    EXPECT_EQ(got, avail);
-    EXPECT_EQ(ThreadBudget::available(), 0u);
-    EXPECT_EQ(ThreadBudget::acquire(1), 0u);
-    ThreadBudget::release(got);
-    EXPECT_EQ(ThreadBudget::available(), avail);
-}
-
-TEST(ThreadBudget, ExactAcquireGrantsEvenWhenExhausted)
-{
-    using pld::BudgetLease;
-    using pld::ThreadBudget;
-    unsigned avail = ThreadBudget::available();
-    {
-        BudgetLease all(avail);
-        EXPECT_EQ(all.count(), avail);
-        // Explicit thread requests must be honoured regardless.
-        BudgetLease exact(3, /*exact=*/true);
-        EXPECT_EQ(exact.count(), 3u);
-        EXPECT_EQ(ThreadBudget::available(), 0u);
-        // Auto requests degrade to serial instead.
-        BudgetLease capped(2);
-        EXPECT_EQ(capped.count(), 0u);
-    }
-    EXPECT_EQ(ThreadBudget::available(), avail);
+    // Every thread has stopped: nothing runs after the rethrow.
+    int after = finished.load();
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    EXPECT_EQ(finished.load(), after);
 }

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+
+#include "common/hash.h"
 #include "fabric/device.h"
 #include "pnr/router.h"
 
@@ -17,6 +20,63 @@ device()
 {
     static Device d = makeU50();
     return d;
+}
+
+/**
+ * 160 nets of mixed width (1 to 64 bits) with one to three sinks
+ * each, scattered over a 24x24-tile window by a fixed LCG. Also a
+ * sink on its driver's tile, an externally driven net and a net with
+ * no sinks, which the router must skip.
+ */
+void
+makeCongested(Netlist &nl, Placement &p)
+{
+    uint64_t s = 0x5eed;
+    auto next = [&](int bound) {
+        s = s * 6364136223846793005ull + 1442695040888963407ull;
+        return static_cast<int>((s >> 33) % bound);
+    };
+    auto cell = [&](const std::string &name) {
+        int c = nl.addCell({SiteKind::Clb, name, 1, 1, 1, 0, {}});
+        p.pos.push_back({2 + next(24), 10 + next(24)});
+        return c;
+    };
+    const int widths[] = {1, 8, 16, 32, 64};
+    for (int i = 0; i < 160; ++i) {
+        std::string n = std::to_string(i);
+        int w = nl.addNet("n" + n, widths[next(5)], cell("d" + n));
+        int sinks = 1 + next(3);
+        for (int k = 0; k < sinks; ++k)
+            nl.addSink(w, cell("s" + n + "_" + std::to_string(k)));
+    }
+    int d = cell("same");
+    int same = nl.addNet("same", 32, d);
+    nl.addSink(same, cell("same_sink"));
+    p.pos.back() = p.pos[d];
+    nl.addSink(nl.addNet("ext", 32, -1), cell("ext_sink"));
+    nl.addNet("open", 32, cell("open_driver"));
+}
+
+/** Digest of everything route() decides: paths, wirelength,
+ * iterations, overuse and peak utilization. */
+uint64_t
+routeDigest(const RouteResult &rr)
+{
+    Hasher h;
+    for (const auto &path : rr.routes) {
+        h.u64(path.size());
+        for (auto [c, r] : path) {
+            h.i64(c);
+            h.i64(r);
+        }
+    }
+    h.i64(rr.totalWirelength);
+    h.i64(rr.iterations);
+    h.i64(rr.overusedTiles);
+    uint64_t util;
+    std::memcpy(&util, &rr.maxUtilization, sizeof(util));
+    h.u64(util);
+    return h.digest();
 }
 
 } // namespace
@@ -109,4 +169,45 @@ TEST(Router, WideBusesUseMoreWirelength)
         return route(nl, device(), p, {}).totalWirelength;
     };
     EXPECT_GT(run_width(64), run_width(8));
+}
+
+TEST(Router, GoldenRoutes)
+{
+    // Pinned routing results: any change to the path costs, the
+    // rip-up set or the order demand is committed in shows up here,
+    // for every thread count.
+    Netlist nl;
+    Placement p;
+    makeCongested(nl, p);
+    struct Golden
+    {
+        int capacity;
+        int maxIters;
+        uint64_t digest;
+        int64_t wirelength;
+        int iterations;
+        int overused;
+    };
+    const Golden golden[] = {
+        {12, 9, 0x92c0777f334811baull, 18684, 10, 558},
+        {40, 8, 0x35bf2aa506328a06ull, 18684, 9, 139},
+        {64, 8, 0xe1cf19e6ce8b4deeull, 18684, 9, 0},
+        {80, 8, 0x9e81f39c97ef9808ull, 18684, 3, 0},
+    };
+    for (const Golden &g : golden) {
+        for (unsigned threads : {1u, 4u, 0u}) {
+            RouterOptions opts;
+            opts.channelCapacity = g.capacity;
+            opts.maxIters = g.maxIters;
+            opts.threads = threads;
+            RouteResult rr = route(nl, device(), p, opts);
+            std::string at = "capacity " + std::to_string(g.capacity) +
+                             " threads " + std::to_string(threads);
+            EXPECT_GE(rr.iterations, 2) << at;
+            EXPECT_EQ(routeDigest(rr), g.digest) << at;
+            EXPECT_EQ(rr.totalWirelength, g.wirelength) << at;
+            EXPECT_EQ(rr.iterations, g.iterations) << at;
+            EXPECT_EQ(rr.overusedTiles, g.overused) << at;
+        }
+    }
 }

@@ -6,8 +6,9 @@
  * bit-identity of daemon-built artifacts against direct library
  * builds at different thread counts, warm-restart store hits, swap
  * against a store-served base, fault containment per request, the
- * per-request trace file, and the kill-the-client regression (a
- * client hanging up mid-compile never strands a second client).
+ * per-request trace file, the kill-the-client regression (a client
+ * hanging up mid-compile never strands a second client), and that
+ * finished connections release their handler threads.
  */
 
 #include <gtest/gtest.h>
@@ -75,6 +76,18 @@ makeRequest(double factor, uint32_t jobs = 0)
     req.opts.parallelJobs = jobs;
     req.graphText = encodeGraphText(makePipeline(factor));
     return req;
+}
+
+/** Lines in /proc/self/maps: every live thread stack adds its own
+ * mappings. */
+size_t
+mappingCount()
+{
+    std::ifstream maps("/proc/self/maps");
+    size_t n = 0;
+    for (std::string line; std::getline(maps, line);)
+        ++n;
+    return n;
 }
 
 class DaemonTest : public ::testing::Test
@@ -372,10 +385,37 @@ TEST_F(DaemonTest, ClientDeathMidCompileNeverStrandsWaiters)
     EXPECT_EQ(r.status, RespStatus::Ok);
     EXPECT_FALSE(r.blob.empty());
 
-    server.stop(); // joins A's handler
+    server.stop(); // waits for A's handler
     EXPECT_EQ(svcc.stats().storeMisses.load(), 1u)
         << "the dead client's compile and B's must have shared one "
            "backend execution";
+}
+
+TEST_F(DaemonTest, SequentialConnectionsDoNotGrowMappings)
+{
+    // Every connection gets its own handler thread. A handler kept
+    // until stop() holds its stack mapped, so a long-lived daemon
+    // serving short connections would grow without bound and, at
+    // the kernel's mapping limit, fail to start threads at all.
+    CompileService svcc(dev, cfg);
+    DaemonServer server(svcc, dir + "/pldd.sock");
+    server.start();
+    auto cycle = [&](uint64_t nonce) {
+        Client c(server.socketPath());
+        ASSERT_TRUE(c.connect());
+        EXPECT_TRUE(c.ping(nonce));
+        c.close();
+    };
+    for (uint64_t i = 0; i < 8; ++i)
+        cycle(i);
+    size_t before = mappingCount();
+    for (uint64_t i = 0; i < 64; ++i)
+        cycle(100 + i);
+    size_t after = mappingCount();
+    EXPECT_LT(after, before + 16)
+        << "mappings grew from " << before << " to " << after
+        << " over 64 finished connections";
+    server.stop();
 }
 
 } // namespace
