@@ -40,3 +40,20 @@ TEST(Hash, OneShotHelper)
     EXPECT_EQ(pld::hashString("x"), pld::hashString("x"));
     EXPECT_NE(pld::hashString("x"), pld::hashString("y"));
 }
+
+TEST(Hash, Crc32KnownAnswers)
+{
+    const char check[] = "123456789";
+    EXPECT_EQ(pld::crc32(check, 9), 0xCBF43926u);
+    EXPECT_EQ(pld::crc32("", 0), 0u);
+    // Chaining over a split equals the one-shot CRC.
+    const char text[] = "The quick brown fox jumps over the lazy dog";
+    size_t n = sizeof(text) - 1;
+    EXPECT_EQ(pld::crc32(text, n), 0x414FA339u);
+    for (size_t cut = 0; cut <= n; ++cut) {
+        uint32_t head = pld::crc32(text, cut);
+        EXPECT_EQ(pld::crc32(text + cut, n - cut, head),
+                  pld::crc32(text, n))
+            << "cut at " << cut;
+    }
+}

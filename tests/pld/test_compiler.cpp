@@ -383,3 +383,150 @@ TEST(Flow, PlacementsMatchGoldenFingerprints)
         EXPECT_EQ(digest(OptLevel::O3), golden[i].o3) << apps[i].name;
     }
 }
+
+namespace {
+
+void
+hashRunStats(Hasher &h, const sys::RunStats &rs)
+{
+    h.u64(rs.cycles);
+    h.u64(rs.configCycles);
+    h.u64(rs.completed ? 1 : 0);
+    h.u64(rs.noc.injected);
+    h.u64(rs.noc.delivered);
+    h.u64(rs.noc.deflections);
+    h.u64(rs.noc.configApplied);
+    h.u64(rs.noc.totalHops);
+}
+
+void
+hashSwapResult(Hasher &h, const sys::SwapResult &r)
+{
+    h.u64(static_cast<uint64_t>(r.outcome));
+    h.u64(r.cycles);
+    h.u64(r.packets);
+    h.u64(r.retransmits);
+    h.u64(r.crcErrors);
+    h.u64(r.drops);
+    h.u64(r.dmaStalls);
+    h.i64(r.attempts);
+    h.i64(r.rollbacks);
+    h.u64(r.watchdogFired ? 1 : 0);
+}
+
+/** Run one batch of @p bm on @p sim; mix its stats and words into
+ * @p h and check the words against the golden model. */
+void
+hashBatch(Hasher &h, sys::SystemSim &sim, const rosetta::Benchmark &bm,
+          const char *what)
+{
+    sim.loadInput(0, bm.input);
+    sys::RunStats rs = sim.run();
+    EXPECT_TRUE(rs.completed) << bm.name << " " << what;
+    std::vector<uint32_t> words = sim.takeOutput(0);
+    EXPECT_EQ(words, bm.expected) << bm.name << " " << what;
+    hashRunStats(h, rs);
+    h.u64(words.size());
+    for (uint32_t w : words)
+        h.u64(w);
+}
+
+/** First operator with a unique name and no external stream: the
+ * kind of operator an edit swaps between batches. */
+int
+swapVictim(const Graph &g)
+{
+    for (size_t i = 0; i < g.ops.size(); ++i) {
+        bool external = false;
+        for (const auto &l : g.links) {
+            external |= (l.src.op == static_cast<int>(i) &&
+                         l.dst.isExternal()) ||
+                        (l.dst.op == static_cast<int>(i) &&
+                         l.src.isExternal());
+        }
+        int same_name = 0;
+        for (const auto &op : g.ops)
+            same_name += op.fn.name == g.ops[i].fn.name;
+        if (!external && same_name == 1)
+            return static_cast<int>(i);
+    }
+    return -1;
+}
+
+} // namespace
+
+TEST(Flow, SimulationsMatchGoldenFingerprints)
+{
+    // Simulated behaviour of the six Rosetta apps, pinned: two -O1
+    // all-HW batches on one SystemSim, a synchronous function-changing
+    // swapPage and a rerun; one -O3 direct-link batch; and for two
+    // apps a mixed design with one operator on the softcore. Cycle
+    // counts at -O1 do not depend on placement. A simulator change
+    // that claims bit-identical results must keep these digests.
+    CompileOptions o;
+    o.effort = 0.1;
+    o.seed = 7;
+    struct Golden
+    {
+        uint64_t o1;
+        uint64_t o3;
+        /** 0: no mixed design (its softcore page makes the batch
+         * take seconds). */
+        uint64_t mixed;
+    };
+    const Golden golden[] = {
+        {0x15e55a77f36ef844ull, 0xb2abde79feba180aull, 0}, // rendering
+        {0x80c336db0ad1a743ull, 0xe18255a67ccd2bc3ull, 0}, // digit rec
+        {0x89b3312dda20f1b9ull, 0xee060a11b082042dull,
+         0x7efe1dd60bf1b78cull}, // spam
+        {0xec06254622fcb2ccull, 0x60f96d39fe831a59ull,
+         0x946a391d772aff51ull}, // optical
+        {0x67ff90567500e9c4ull, 0x3c26f76124d2d9deull, 0}, // face
+        {0x3500c0bc08c5d325ull, 0x0f003a6e42e9d2f5ull, 0}, // bnn
+    };
+    std::vector<rosetta::Benchmark> apps = rosetta::allBenchmarks();
+    ASSERT_EQ(apps.size(), std::size(golden));
+    for (size_t i = 0; i < apps.size(); ++i) {
+        const rosetta::Benchmark &bm = apps[i];
+        PldCompiler pc(device(), o);
+
+        Hasher o1;
+        AppBuild b1 = pc.build(bm.graph, OptLevel::O1);
+        sys::SystemSim sim(bm.graph, b1.bindings, b1.sysCfg);
+        hashBatch(o1, sim, bm, "-O1 batch 1");
+        hashBatch(o1, sim, bm, "-O1 batch 2");
+        int victim = swapVictim(bm.graph);
+        ASSERT_GE(victim, 0) << bm.name;
+        Graph edited = bm.graph;
+        StmtPtr s = makeStmt(StmtKind::Print);
+        s->text = "edit";
+        edited.ops[victim].fn.body.push_back(std::move(s));
+        SwapArtifact sa = pc.buildSwapArtifact(
+            edited, edited.ops[victim].fn.name, b1);
+        EXPECT_TRUE(sa.fnChanged) << bm.name;
+        sys::SwapResult sr =
+            sim.swapPage(sa.binding.pageId, sa.binding, &sa.fn);
+        EXPECT_EQ(sr.outcome, sys::SwapOutcome::Swapped) << bm.name;
+        hashSwapResult(o1, sr);
+        hashBatch(o1, sim, bm, "-O1 after swap");
+
+        Hasher o3;
+        AppBuild b3 = pc.build(bm.graph, OptLevel::O3);
+        sys::SystemSim direct(bm.graph, b3.bindings, b3.sysCfg);
+        hashBatch(o3, direct, bm, "-O3");
+
+        uint64_t mixed = 0;
+        if (golden[i].mixed != 0) {
+            Graph g = bm.graph;
+            g.ops[victim].fn.pragma.target = Target::RISCV;
+            AppBuild bm1 = pc.build(g, OptLevel::O1);
+            sys::SystemSim msim(g, bm1.bindings, bm1.sysCfg);
+            Hasher hm;
+            hashBatch(hm, msim, bm, "mixed");
+            mixed = hm.digest();
+        }
+        EXPECT_EQ(o1.digest(), golden[i].o1) << bm.name;
+        EXPECT_EQ(o3.digest(), golden[i].o3) << bm.name;
+        EXPECT_EQ(mixed, golden[i].mixed) << bm.name;
+    }
+}
