@@ -13,9 +13,10 @@
 #ifndef PLD_DATAFLOW_STREAM_H
 #define PLD_DATAFLOW_STREAM_H
 
+#include <algorithm>
 #include <cstdint>
-#include <deque>
 #include <limits>
+#include <vector>
 
 #include "common/logging.h"
 
@@ -34,6 +35,10 @@ struct FifoStats
  * A bounded FIFO of 32-bit words: the physical embodiment of one
  * latency-insensitive link. Capacity 0 means unbounded (used by the
  * pure-functional runtime where buffering is immaterial).
+ *
+ * Storage is a power-of-two ring allocated on the first push and
+ * doubled when full, so a FIFO that never carries a word (most NoC
+ * leaf ports) costs no heap.
  */
 class WordFifo
 {
@@ -43,28 +48,32 @@ class WordFifo
     bool
     canPush() const
     {
-        return cap == 0 || q.size() < cap;
+        return cap == 0 || count < cap;
     }
-    bool canPop() const { return !q.empty(); }
-    size_t size() const { return q.size(); }
+    bool canPop() const { return count != 0; }
+    size_t size() const { return count; }
     size_t capacity() const { return cap; }
 
     void
     push(uint32_t w)
     {
         pld_assert(canPush(), "push to full FIFO");
-        q.push_back(w);
+        if (count == ring.size())
+            grow();
+        ring[(head + count) & (ring.size() - 1)] = w;
+        ++count;
         ++stats_.pushes;
-        if (q.size() > stats_.maxOccupancy)
-            stats_.maxOccupancy = q.size();
+        if (count > stats_.maxOccupancy)
+            stats_.maxOccupancy = count;
     }
 
     uint32_t
     pop()
     {
         pld_assert(canPop(), "pop from empty FIFO");
-        uint32_t w = q.front();
-        q.pop_front();
+        uint32_t w = ring[head];
+        head = (head + 1) & (ring.size() - 1);
+        --count;
         ++stats_.pops;
         return w;
     }
@@ -73,13 +82,26 @@ class WordFifo
     front() const
     {
         pld_assert(canPop(), "front of empty FIFO");
-        return q.front();
+        return ring[head];
     }
 
     const FifoStats &stats() const { return stats_; }
 
   private:
-    std::deque<uint32_t> q;
+    /** Double the ring, moving the words to its start in order. */
+    void
+    grow()
+    {
+        std::vector<uint32_t> next(std::max<size_t>(4, ring.size() * 2));
+        for (size_t i = 0; i < count; ++i)
+            next[i] = ring[(head + i) & (ring.size() - 1)];
+        ring.swap(next);
+        head = 0;
+    }
+
+    std::vector<uint32_t> ring; ///< power-of-two size, or empty
+    size_t head = 0;            ///< index of the oldest word
+    size_t count = 0;
     size_t cap;
     FifoStats stats_;
 };

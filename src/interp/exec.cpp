@@ -73,6 +73,7 @@ OperatorExec::reset()
     }
     frames.clear();
     frames.push_back({&fnRef.body, 0, nullptr});
+    blockedPort = -1;
     started = true;
     stats_ = ExecStats{};
     prints.clear();
@@ -85,32 +86,32 @@ OperatorExec::quantizeTo(int64_t v, int src_frac, const Type &t)
     return canonicalize(static_cast<uint64_t>(w), t);
 }
 
-RunStatus
-OperatorExec::exprReadsReady(const ExprPtr &e) const
+int
+OperatorExec::blockedRead(const ExprPtr &e) const
 {
     if (e->kind == ExprKind::StreamRead) {
         int port = static_cast<int>(e->imm);
         if (!ports[port]->canRead())
-            return RunStatus::BlockedOnRead;
+            return port;
     }
     for (const auto &a : e->args) {
-        RunStatus s = exprReadsReady(a);
-        if (s != RunStatus::Done)
-            return s;
+        int port = blockedRead(a);
+        if (port >= 0)
+            return port;
     }
-    return RunStatus::Done;
+    return -1;
 }
 
 RunStatus
-OperatorExec::streamsReady(const Stmt &s) const
+OperatorExec::streamsReady(const Stmt &s, int &port) const
 {
     for (const auto &e : s.args) {
-        RunStatus r = exprReadsReady(e);
-        if (r != RunStatus::Done)
-            return r;
+        port = blockedRead(e);
+        if (port >= 0)
+            return RunStatus::BlockedOnRead;
     }
     if (s.kind == StmtKind::StreamWrite) {
-        int port = static_cast<int>(s.imm);
+        port = static_cast<int>(s.imm);
         if (!ports[port]->canWrite())
             return RunStatus::BlockedOnWrite;
     }
@@ -273,6 +274,18 @@ OperatorExec::evalExpr(const ExprPtr &e)
 RunStatus
 OperatorExec::step()
 {
+    // A blocked statement stays blocked while the stream that blocked
+    // it cannot fire: only this operator reads its input streams, so
+    // reads found ready before it stay ready, and the statement has
+    // not moved.
+    if (blockedPort >= 0) {
+        const dataflow::StreamPort *p = ports[blockedPort];
+        if (blockedOn == RunStatus::BlockedOnRead ? !p->canRead()
+                                                  : !p->canWrite())
+            return blockedOn;
+        blockedPort = -1;
+    }
+
     Frame &top = frames.back();
     if (top.idx >= top.stmts->size()) {
         retireFrame();
@@ -282,9 +295,13 @@ OperatorExec::step()
     const StmtPtr &sp = (*top.stmts)[top.idx];
     const Stmt &s = *sp;
 
-    RunStatus ready = streamsReady(s);
-    if (ready != RunStatus::Done)
+    int port = -1;
+    RunStatus ready = streamsReady(s, port);
+    if (ready != RunStatus::Done) {
+        blockedPort = port;
+        blockedOn = ready;
         return ready;
+    }
 
     switch (s.kind) {
       case StmtKind::Assign:

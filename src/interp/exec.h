@@ -92,9 +92,15 @@ class OperatorExec
     /** Dispatch the statement at the top frame. */
     RunStatus step();
 
-    /** Availability: can every stream op in @p s fire right now? */
-    RunStatus streamsReady(const ir::Stmt &s) const;
-    RunStatus exprReadsReady(const ir::ExprPtr &e) const;
+    /**
+     * Availability: can every stream op in @p s fire right now? When
+     * not, returns the blocked direction and sets @p port to the
+     * stream that blocks it.
+     */
+    RunStatus streamsReady(const ir::Stmt &s, int &port) const;
+    /** Index of the first stream read in @p e that cannot fire, or
+     * -1 when all can. */
+    int blockedRead(const ir::ExprPtr &e) const;
 
     int64_t evalExpr(const ir::ExprPtr &e);
 
@@ -110,6 +116,15 @@ class OperatorExec
     std::vector<int64_t> vars;
     std::vector<std::vector<int64_t>> arrays;
     std::vector<Frame> frames;
+    /**
+     * The stream that blocked the current statement, and in which
+     * direction (BlockedOnRead/BlockedOnWrite); -1 when the statement
+     * is not known to be blocked. While that stream still cannot fire,
+     * step() returns the same status without re-walking the statement
+     * (DESIGN.md §2, "Activity-driven stepping").
+     */
+    int blockedPort = -1;
+    RunStatus blockedOn = RunStatus::Done;
     bool started = false;
     bool printsEnabled = false;
     ExecStats stats_;

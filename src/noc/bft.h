@@ -49,6 +49,8 @@ struct NocStats
     uint64_t deflections = 0;
     uint64_t configApplied = 0;
     uint64_t totalHops = 0;
+    /** Cycles in which stepCycle() visited any leaf or switch. */
+    uint64_t activeCycles = 0;
 };
 
 /**
@@ -57,12 +59,20 @@ struct NocStats
  *
  * Usage per cycle: operators push words into outPort()s and pop from
  * inPort()s; stepCycle() moves flits one hop.
+ *
+ * A cycle costs time in proportion to what can move, not to the size
+ * of the fabric: stepCycle() visits only the leaves in the active set
+ * and the switches next to a valid flit (DESIGN.md §2, "Activity-driven
+ * stepping").
  */
 class BftNoc
 {
   public:
     BftNoc(int num_leaves, int ports_per_leaf = 4,
            size_t fifo_depth = 16);
+    /** Ports and the active set point into the network's own state. */
+    BftNoc(const BftNoc &) = delete;
+    BftNoc &operator=(const BftNoc &) = delete;
 
     int numLeaves() const { return nLeaves; }
     int portsPerLeaf() const { return nPorts; }
@@ -78,7 +88,8 @@ class BftNoc
     void sendConfig(int src_leaf, int dst_leaf, int out_port,
                     int route_leaf, int route_port);
 
-    /** Operator-facing ports (stable pointers). */
+    /** Operator-facing ports: one object per (leaf, port, direction),
+     * so repeated calls return the same pointer. */
     dataflow::StreamPort *inPort(int leaf, int port);
     dataflow::StreamPort *outPort(int leaf, int port);
 
@@ -156,6 +167,13 @@ class BftNoc
         Flit reinsert;    ///< deflected-at-leaf flit awaiting re-entry
     };
 
+    /** The three output link registers of a switch. */
+    struct Links
+    {
+        Flit upOut;      // to parent
+        Flit downOut[2]; // to children
+    };
+
     /**
      * One internal switch of the binary fat tree. Node i covers the
      * leaf range [lo, hi); children are nodes or leaves.
@@ -165,23 +183,42 @@ class BftNoc
         int lo = 0, hi = 0;
         int parent = -1;   // -1 = root
         int left = -1, right = -1; // child switch ids; -1 = leaf level
-        // Link registers (current cycle contents).
-        Flit upOut;     // to parent
-        Flit downOut[2];// to children
+        Links out;         // link registers (current cycle contents)
+        bool queued = false; ///< in this cycle's update list
     };
 
     int leafParent(int leaf) const; ///< switch above a leaf
-    void stepSwitches();
-    void stepLeaves();
+    /** Mark @p leaf as able to act in the next visit. */
+    void
+    wake(int leaf)
+    {
+        active[static_cast<size_t>(leaf) >> 6] |= 1ull << (leaf & 63);
+    }
+    bool leafCanAct(const Leaf &leaf) const;
+    void stepLeaf(int li);
+    bool stepLeaves();
+    Links routeSwitch(int si);
+    bool stepSwitches();
 
     int nLeaves;
     int nPorts;
     size_t fifoDepth;
     std::vector<Leaf> leaves;
     std::vector<Switch> switches;
-    std::vector<Switch> scratch;       ///< double buffer for stepCycle
-    std::vector<Flit> injectScratch;
-    std::vector<std::unique_ptr<dataflow::StreamPort>> portWrappers;
+    /** One bit per leaf that may act on its next visit. */
+    std::vector<uint64_t> active;
+    /** Switches holding at least one valid flit, in no order. */
+    std::vector<int> live;
+    /** This cycle's switch update: ids and their next registers. */
+    std::vector<int> updates;
+    std::vector<Links> nextLinks;
+    /** Flit each leaf injects this cycle; valid only for the leaves
+     * listed in `injecting`. */
+    std::vector<Flit> inject;
+    std::vector<int> injecting;
+    /** Port objects by ((leaf * nPorts + port) * 2 + is_out), built
+     * on first request. */
+    std::vector<std::unique_ptr<dataflow::StreamPort>> ports;
     NocStats stats_;
 };
 

@@ -1,9 +1,11 @@
 #include "sys/system.h"
 
 #include <algorithm>
+#include <array>
 
 #include "common/hash.h"
 #include "common/logging.h"
+#include "common/stopwatch.h"
 #include "obs/trace.h"
 
 namespace pld {
@@ -211,6 +213,11 @@ void
 SystemSim::loadInput(int ext_idx, const std::vector<uint32_t> &words)
 {
     auto &buf = hostIn[static_cast<size_t>(ext_idx)];
+    auto &pos = hostInPos[static_cast<size_t>(ext_idx)];
+    // Drop the words the DMA engine already sent, so a long-lived
+    // system rerunning batches does not keep every batch's input.
+    buf.erase(buf.begin(), buf.begin() + static_cast<ptrdiff_t>(pos));
+    pos = 0;
     buf.insert(buf.end(), words.begin(), words.end());
 }
 
@@ -368,6 +375,7 @@ SystemSim::runInternal(uint64_t max_cycles, bool slice)
 {
     RunStats rs;
     obs::Span run_span("sys", slice ? "sys.slice" : "sys.run");
+    ThreadCpuStopwatch host;
     statStalls = 0;
 
     rearmPages();
@@ -509,6 +517,13 @@ SystemSim::runInternal(uint64_t max_cycles, bool slice)
     obs::count("sys.dma.words.out", static_cast<int64_t>(words_out));
     obs::count("sys.page.stalls",
                static_cast<int64_t>(statStalls));
+    // Simulator speed (linking plus run cycles per CPU second of the
+    // simulating thread): a sample, not a counter, because it is host
+    // time.
+    double host_s = host.seconds();
+    if (host_s > 0)
+        obs::record("sys.sim.cycles_per_host_second",
+                    double(rs.cycles + rs.configCycles) / host_s);
     return rs;
 }
 
@@ -772,7 +787,7 @@ SystemSim::transmissionResolved()
 
     // Frame the packet: payload derived from the image content hash,
     // CRC-32 over the payload (the real check, not a modelled one).
-    std::vector<uint8_t> payload(kSwapPacketBytes);
+    std::array<uint8_t, kSwapPacketBytes> payload;
     for (size_t i = 0; i < payload.size(); i += 8) {
         Hasher h;
         h.u64(swap.nb.imageHash);

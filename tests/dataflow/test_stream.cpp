@@ -48,6 +48,25 @@ TEST(WordFifo, FrontDoesNotConsume)
     EXPECT_EQ(f.pop(), 42u);
 }
 
+TEST(WordFifo, GrowsWhileWrappedInOrder)
+{
+    // Interleaved pushes and pops walk the oldest word around the
+    // ring, so the ring grows while its contents wrap past the end.
+    WordFifo f;
+    uint32_t next_in = 0, next_out = 0;
+    for (int round = 1; round <= 40; ++round) {
+        for (int i = 0; i < round + 2; ++i)
+            f.push(next_in++);
+        for (int i = 0; i < round; ++i)
+            ASSERT_EQ(f.pop(), next_out++);
+        ASSERT_EQ(f.front(), next_out);
+    }
+    EXPECT_EQ(f.size(), static_cast<size_t>(next_in - next_out));
+    while (f.canPop())
+        ASSERT_EQ(f.pop(), next_out++);
+    EXPECT_EQ(next_out, next_in);
+}
+
 TEST(Ports, ReadWriteDirections)
 {
     WordFifo f(4);

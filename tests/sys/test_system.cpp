@@ -240,3 +240,24 @@ TEST(SystemSim, IncompleteInputTimesOut)
     auto rs = sim.run(20000);
     EXPECT_FALSE(rs.completed);
 }
+
+TEST(SystemSim, LoadInputMidStreamKeepsUnsentWords)
+{
+    // A batch loaded while the previous one is still being sent joins
+    // the unsent words in order.
+    const int n = 8;
+    Graph g = makePipeline(n);
+    dataflow::GraphRuntime gold(g);
+    gold.pushInput(0, iota(n));
+    ASSERT_TRUE(gold.run());
+    auto expected = gold.takeOutput(0);
+
+    SystemConfig cfg;
+    SystemSim sim(g, {hwBinding(g, 0, 0), hwBinding(g, 1, 1)}, cfg);
+    std::vector<uint32_t> words = iota(n);
+    sim.loadInput(0, {words.begin(), words.begin() + 5});
+    EXPECT_FALSE(sim.run(3).completed);
+    sim.loadInput(0, {words.begin() + 5, words.end()});
+    ASSERT_TRUE(sim.run().completed);
+    EXPECT_EQ(sim.takeOutput(0), expected);
+}
