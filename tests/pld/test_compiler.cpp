@@ -7,6 +7,7 @@
 #include "dataflow/runtime.h"
 #include "fabric/device.h"
 #include "ir/builder.h"
+#include "obs/trace.h"
 #include "pld/compiler.h"
 #include "rosetta/benchmark.h"
 #include "sys/system.h"
@@ -528,5 +529,121 @@ TEST(Flow, SimulationsMatchGoldenFingerprints)
         EXPECT_EQ(o1.digest(), golden[i].o1) << bm.name;
         EXPECT_EQ(o3.digest(), golden[i].o3) << bm.name;
         EXPECT_EQ(mixed, golden[i].mixed) << bm.name;
+    }
+}
+
+namespace {
+
+/** Cycles, `sys.page.stalls` and an output digest of one batch, read
+ * under @p st; the words are also checked against the golden model. */
+struct BatchRecord
+{
+    uint64_t cycles = 0;
+    int64_t stalls = 0;
+    uint64_t words = 0;
+};
+
+BatchRecord
+recordBatch(obs::ScopedTracer &st, sys::SystemSim &sim,
+            const rosetta::Benchmark &bm, const char *what)
+{
+    int64_t before =
+        st.tracer().metrics().snapshot().counter("sys.page.stalls");
+    sim.loadInput(0, bm.input);
+    sys::RunStats rs = sim.run();
+    EXPECT_TRUE(rs.completed) << bm.name << " " << what;
+    std::vector<uint32_t> out = sim.takeOutput(0);
+    EXPECT_EQ(out, bm.expected) << bm.name << " " << what;
+    Hasher h;
+    for (uint32_t w : out)
+        h.u64(w);
+    BatchRecord r;
+    r.cycles = rs.cycles;
+    r.stalls =
+        st.tracer().metrics().snapshot().counter("sys.page.stalls") -
+        before;
+    r.words = h.digest();
+    return r;
+}
+
+} // namespace
+
+TEST(Flow, SimulationStallsMatchGolden)
+{
+    // Cycles, sys.page.stalls and output words per batch of the six
+    // Rosetta apps (effort 0.1, seed 7): two -O1 all-HW batches on one
+    // SystemSim, one -O3 direct-link batch, one all-softcore (-O0)
+    // batch, and a mixed -O1 design with the swapVictim operator on
+    // the softcore. A simulator that skips cycles in which nothing can
+    // move must replay every blocked poll's stall and budget update
+    // exactly, so these stay fixed.
+    obs::ScopedTracer st;
+    CompileOptions o;
+    o.effort = 0.1;
+    o.seed = 7;
+    /** Per app: -O1 batch 1, -O1 batch 2, -O3, -O0, mixed. */
+    const BatchRecord golden[][5] = {
+        {{51448, 192820, 0xe32cfae453e1c35dull},
+         {51448, 192820, 0xe32cfae453e1c35dull},
+         {49148, 178638, 0xe32cfae453e1c35dull},
+         {5456088, 20688248, 0xe32cfae453e1c35dull},
+         {5456126, 25408351, 0xe32cfae453e1c35dull}}, // rendering
+        {{46501, 81499, 0x72e963545695d70eull},
+         {46501, 81499, 0x72e963545695d70eull},
+         {46447, 68037, 0x72e963545695d70eull},
+         {576813, 2666823, 0x72e963545695d70eull},
+         {580764, 2552882, 0x72e963545695d70eull}}, // digit rec
+        {{3489, 21201, 0x326ed86a5ad9e4a4ull},
+         {3489, 21201, 0x326ed86a5ad9e4a4ull},
+         {1068, 2179, 0x326ed86a5ad9e4a4ull},
+         {15109, 86665, 0x326ed86a5ad9e4a4ull},
+         {13089, 57358, 0x326ed86a5ad9e4a4ull}}, // spam
+        {{23290, 108496, 0xe5ba07ed8cd0d684ull},
+         {23290, 108496, 0xe5ba07ed8cd0d684ull},
+         {23241, 79145, 0xe5ba07ed8cd0d684ull},
+         {1121964, 5108006, 0xe5ba07ed8cd0d684ull},
+         {23380, 92977, 0xe5ba07ed8cd0d684ull}}, // optical
+        {{11646, 71738, 0x2a40642ed0939524ull},
+         {11646, 71738, 0x2a40642ed0939524ull},
+         {6991, 33085, 0x2a40642ed0939524ull},
+         {732789, 4395971, 0x2a40642ed0939524ull},
+         {264729, 1583866, 0x2a40642ed0939524ull}}, // face
+        {{318825, 2049111, 0xfdcdb80e5fd8d165ull},
+         {318825, 2049111, 0xfdcdb80e5fd8d165ull},
+         {301880, 1913154, 0xfdcdb80e5fd8d165ull},
+         {7419584, 49986528, 0xfdcdb80e5fd8d165ull},
+         {7435626, 50079555, 0xfdcdb80e5fd8d165ull}}, // bnn
+    };
+    const char *what[] = {"-O1 batch 1", "-O1 batch 2", "-O3", "-O0",
+                          "mixed"};
+    std::vector<rosetta::Benchmark> apps = rosetta::allBenchmarks();
+    ASSERT_EQ(apps.size(), std::size(golden));
+    for (size_t i = 0; i < apps.size(); ++i) {
+        const rosetta::Benchmark &bm = apps[i];
+        PldCompiler pc(device(), o);
+        std::vector<BatchRecord> got;
+        AppBuild b1 = pc.build(bm.graph, OptLevel::O1);
+        sys::SystemSim sim(bm.graph, b1.bindings, b1.sysCfg);
+        got.push_back(recordBatch(st, sim, bm, what[0]));
+        got.push_back(recordBatch(st, sim, bm, what[1]));
+        AppBuild b3 = pc.build(bm.graph, OptLevel::O3);
+        sys::SystemSim direct(bm.graph, b3.bindings, b3.sysCfg);
+        got.push_back(recordBatch(st, direct, bm, what[2]));
+        AppBuild b0 = pc.build(bm.graph, OptLevel::O0);
+        sys::SystemSim soft(bm.graph, b0.bindings, b0.sysCfg);
+        got.push_back(recordBatch(st, soft, bm, what[3]));
+        Graph g = bm.graph;
+        g.ops[swapVictim(g)].fn.pragma.target = Target::RISCV;
+        AppBuild bmix = pc.build(g, OptLevel::O1);
+        sys::SystemSim mixed(g, bmix.bindings, bmix.sysCfg);
+        got.push_back(recordBatch(st, mixed, bm, what[4]));
+        for (size_t k = 0; k < got.size(); ++k) {
+            EXPECT_EQ(got[k].cycles, golden[i][k].cycles)
+                << bm.name << " " << what[k];
+            EXPECT_EQ(got[k].stalls, golden[i][k].stalls)
+                << bm.name << " " << what[k];
+            EXPECT_EQ(got[k].words, golden[i][k].words)
+                << bm.name << " " << what[k];
+        }
     }
 }
