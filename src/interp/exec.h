@@ -67,6 +67,13 @@ class OperatorExec
     /** True once the body has completed. */
     bool done() const { return frames.empty() && started; }
 
+    /**
+     * The stream the last Blocked run() waits on; its direction is
+     * the status run() returned. It stays blocked until that stream
+     * can fire.
+     */
+    int blockedStream() const { return blockedPort; }
+
     /** Reset to the initial state (ROMs reloaded, scalars zeroed). */
     void reset();
 

@@ -181,10 +181,34 @@ BftNoc::outPort(int leaf, int port)
 void
 BftNoc::stepCycle()
 {
+    for (int li : touched)
+        leaves[li].touched = false;
+    touched.clear();
     bool leaves_moved = stepLeaves();
     bool switches_moved = stepSwitches();
     if (leaves_moved || switches_moved)
         ++stats_.activeCycles;
+}
+
+bool
+BftNoc::canAct() const
+{
+    if (!live.empty())
+        return true;
+    for (uint64_t w : active) {
+        if (w != 0)
+            return true;
+    }
+    return false;
+}
+
+void
+BftNoc::touch(int li)
+{
+    if (!leaves[li].touched) {
+        leaves[li].touched = true;
+        touched.push_back(li);
+    }
 }
 
 bool
@@ -235,6 +259,7 @@ BftNoc::stepLeaf(int li)
         Flit &held = leaf.skid[p];
         if (held.valid && leaf.inFifos[p].canPush()) {
             leaf.inFifos[p].push(held.data);
+            touch(li);
             ++stats_.delivered;
             stats_.totalHops += held.age;
             leaves[held.srcLeaf].inflight[held.srcPort] = 0;
@@ -269,6 +294,7 @@ BftNoc::stepLeaf(int li)
                 out.srcLeaf = static_cast<uint16_t>(li);
                 out.srcPort = static_cast<uint8_t>(p);
                 out.data = leaf.outFifos[p].pop();
+                touch(li);
                 leaf.inflight[p] = 1;
                 leaf.rrNext = (p + 1) % nPorts;
                 ++stats_.injected;
@@ -302,6 +328,7 @@ BftNoc::stepLeaf(int li)
         wake(arriving.srcLeaf);
     } else if (leaf.inFifos[arriving.dstPort].canPush()) {
         leaf.inFifos[arriving.dstPort].push(arriving.data);
+        touch(li);
         ++stats_.delivered;
         stats_.totalHops += arriving.age;
         leaves[arriving.srcLeaf].inflight[arriving.srcPort] = 0;

@@ -96,6 +96,21 @@ class BftNoc
     /** Advance the network one clock cycle. */
     void stepCycle();
 
+    /**
+     * True when stepCycle() would visit a leaf or a switch: a leaf is
+     * in the active set or a switch holds a flit. When false,
+     * stepCycle() changes nothing, not even activeCycles.
+     */
+    bool canAct() const;
+
+    /**
+     * Leaves whose port FIFOs the last stepCycle() changed: a word
+     * entered an input FIFO (ejection or skid drain) or left an
+     * output FIFO (injection). The page behind such a leaf may now be
+     * able to read or write.
+     */
+    const std::vector<int> &touchedLeaves() const { return touched; }
+
     /** True when no flit is in flight and no config is pending. */
     bool idle() const;
 
@@ -163,6 +178,7 @@ class BftNoc
          */
         std::vector<Flit> skid;
         uint8_t configInflight = 0;
+        bool touched = false; ///< listed in `touched` this cycle
         int rrNext = 0;   ///< round-robin injection pointer
         Flit reinsert;    ///< deflected-at-leaf flit awaiting re-entry
     };
@@ -195,6 +211,8 @@ class BftNoc
         active[static_cast<size_t>(leaf) >> 6] |= 1ull << (leaf & 63);
     }
     bool leafCanAct(const Leaf &leaf) const;
+    /** Record that leaf @p li's port FIFOs changed this cycle. */
+    void touch(int li);
     void stepLeaf(int li);
     bool stepLeaves();
     Links routeSwitch(int si);
@@ -216,6 +234,8 @@ class BftNoc
      * listed in `injecting`. */
     std::vector<Flit> inject;
     std::vector<int> injecting;
+    /** Leaves whose port FIFOs changed in the last stepCycle(). */
+    std::vector<int> touched;
     /** Port objects by ((leaf * nPorts + port) * 2 + is_out), built
      * on first request. */
     std::vector<std::unique_ptr<dataflow::StreamPort>> ports;

@@ -47,6 +47,7 @@ Core::reset()
     cycles_ = 0;
     instret_ = 0;
     halted_ = false;
+    blockedPort = -1;
     console.clear();
     trap.clear();
 }
@@ -67,6 +68,7 @@ Core::loadWord(uint32_t addr, uint32_t &value, int size,
         if (field == 0) {
             if (!ports[port]->canRead()) {
                 blocked = CoreStatus::BlockedOnRead;
+                blockedPort = static_cast<int>(port);
                 return false;
             }
             value = ports[port]->read();
@@ -111,6 +113,7 @@ Core::storeWord(uint32_t addr, uint32_t value, int size,
         }
         if (!ports[port]->canWrite()) {
             blocked = CoreStatus::BlockedOnWrite;
+            blockedPort = static_cast<int>(port);
             return false;
         }
         ports[port]->write(value);

@@ -68,6 +68,13 @@ class Core
     uint32_t reg(int idx) const { return regs[idx]; }
     bool halted() const { return halted_; }
 
+    /**
+     * The stream port the last Blocked step() waits on; its direction
+     * is the status step() returned. A blocked access has no side
+     * effects, so the core retries the same access next step.
+     */
+    int blockedStream() const { return blockedPort; }
+
     /** Text accumulated through the console MMIO. */
     const std::string &consoleOut() const { return console; }
 
@@ -90,6 +97,7 @@ class Core
     uint64_t cycles_ = 0;
     uint64_t instret_ = 0;
     bool halted_ = false;
+    int blockedPort = -1;
     std::string console;
     std::string trap;
 };

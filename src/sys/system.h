@@ -37,7 +37,9 @@
 #ifndef PLD_SYS_SYSTEM_H
 #define PLD_SYS_SYSTEM_H
 
+#include <functional>
 #include <memory>
+#include <queue>
 #include <vector>
 
 #include "common/fault.h"
@@ -109,6 +111,10 @@ struct RunStats
 {
     uint64_t cycles = 0;
     uint64_t configCycles = 0; ///< linking (config packets) phase
+    /** Run cycles the loop stepped rather than jumped over, because
+     * a page, the network, the DMA engine or the swap engine could
+     * act in them (DESIGN.md §2, "Activity-driven stepping"). */
+    uint64_t steppedCycles = 0;
     bool completed = false;
     noc::NocStats noc;
 };
@@ -260,6 +266,19 @@ class SystemSim
     const PageBinding &pageBinding(int page_id) const;
 
   private:
+    /**
+     * Why a page is out of the awake set, which decides what its
+     * skipped cycles replay and which event wakes it (DESIGN.md §2,
+     * "Activity-driven stepping").
+     */
+    enum class Sleep {
+        Awake,   ///< polled every stepped cycle
+        Blocked, ///< waits for waitPort to fire
+        Starved, ///< restartable, waits for any input to be readable
+        Timer,   ///< HW computing or softcore not due until wakeAt
+        Idle,    ///< done or paused: nothing to replay or wake
+    };
+
     struct Page
     {
         PageBinding binding;
@@ -299,6 +318,22 @@ class SystemSim
          */
         uint64_t coreSyncRun = 0;
         uint64_t coreSyncCycles = 0;
+
+        Sleep sleep = Sleep::Awake;
+        /** Blocked: the stream and whether it waits to write. */
+        int waitPort = -1;
+        bool waitWrite = false;
+        /** Timer: the run cycle at which the page polls again, and a
+         * computing HW page's budget after the cycles before it. */
+        uint64_t wakeAt = 0;
+        double wakeBudget = 0;
+        /** Run cycles before this one are applied to budget and
+         * stalls; later skipped cycles are replayed on the next
+         * visit, pause or run end. */
+        uint64_t syncedTo = 0;
+        /** Direct links: pages at the other end of this page's
+         * streams, woken when this page makes progress. */
+        std::vector<size_t> peers;
     };
 
     /** Swap engine phases (see DESIGN.md §11). */
@@ -332,6 +367,8 @@ class SystemSim
         uint64_t activateLeft = 0;
         uint64_t watchdogDeadline = 0; ///< in elapsed-cycles space
         uint64_t rollbackLeft = 0;
+        /** Fault site of the target page, fixed for the swap. */
+        std::string site;
         SwapResult result;
         std::unique_ptr<obs::Span> span;
     };
@@ -348,7 +385,45 @@ class SystemSim
     void buildNocSystem();
     void buildDirectSystem();
     RunStats runInternal(uint64_t max_cycles, bool slice);
+    /** Visit the awake pages of @p cycle; true when every page is
+     * done or a starved restartable page. */
     bool stepPages(uint64_t cycle);
+    void visitPage(size_t idx, uint64_t cycle);
+    /** Apply @p page's skipped cycles before @p cycle to its budget
+     * and the stall count, exactly as polling it would have. */
+    void replay(Page &page, uint64_t cycle);
+    /** A stream of page @p idx changed: wake it if it can now act. */
+    void
+    streamEvent(size_t idx)
+    {
+        const Sleep s = pages[idx].sleep;
+        if (s == Sleep::Blocked || s == Sleep::Starved)
+            wakeIfReady(idx);
+    }
+    void wakeIfReady(size_t idx);
+    void wake(size_t idx)
+    {
+        awake[idx >> 6] |= 1ull << (idx & 63);
+    }
+    /** True when stepping this cycle cannot change any state but the
+     * sleeping pages' replayed budgets and stalls. */
+    bool quietCycle() const;
+    /** Wake the Timer pages due at @p now. */
+    void
+    fireTimers(uint64_t now)
+    {
+        while (!timers.empty() && timers.top().first <= now) {
+            auto [at, idx] = timers.top();
+            timers.pop();
+            if (pages[idx].sleep == Sleep::Timer && pages[idx].wakeAt == at)
+                wake(idx);
+        }
+    }
+    /** True when @p page keeps the run from completing: it is neither
+     * done nor a starved restartable page (a paused page counts). */
+    static bool isBusy(const Page &page);
+    /** Count the pages that keep the run from completing. */
+    void recountBusy();
     bool anyInputReadable(const Page &page) const;
     void rearmPages();
     /**
@@ -386,6 +461,24 @@ class SystemSim
     /** Telemetry accumulated across the run (one counter add at the
      * end instead of per-cycle registry traffic). */
     uint64_t statStalls = 0;
+
+    // Page scheduler (DESIGN.md §2, "Activity-driven stepping").
+    /** One bit per page to poll in the current or next cycle. */
+    std::vector<uint64_t> awake;
+    /** (wakeAt, page) of Timer pages, earliest first; an entry whose
+     * page has left that timer is skipped. */
+    std::priority_queue<std::pair<uint64_t, size_t>,
+                        std::vector<std::pair<uint64_t, size_t>>,
+                        std::greater<>>
+        timers;
+    /** Pages neither done nor starved-restartable (paused counts). */
+    size_t busyPages = 0;
+    /** NoC leaf -> page index, or -1. */
+    std::vector<int> leafPage;
+    /** Direct links: page at the far end of each external stream,
+     * or -1. */
+    std::vector<int> extInPage;
+    std::vector<int> extOutPage;
 
     const ir::Graph &g;
     SystemConfig cfg;
