@@ -578,10 +578,11 @@ class Isel
     // --- interpreter-exact constant folding --------------------------
 
     /**
-     * Evaluate a subtree exactly as interp::OperatorExec::evalExpr
-     * would, iff it is entirely constant (no reads, no variable or
-     * array references). Each case below transcribes the interpreter
-     * case for that kind; keep them in lockstep.
+     * Evaluate a subtree exactly as the interpreter
+     * (interp::OperatorExec::eval over the node's interp::Program
+     * lowering) would, iff it is entirely constant (no reads, no
+     * variable or array references). Each case below transcribes the
+     * interpreter case for that kind; keep them in lockstep.
      */
     std::optional<int64_t>
     fold(const ExprPtr &e)

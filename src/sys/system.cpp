@@ -305,12 +305,25 @@ SystemSim::rearmPages()
 }
 
 void
+SystemSim::setFn(Page &page, std::unique_ptr<ir::OperatorFn> fn)
+{
+    page.ownedFn = std::move(fn);
+    page.fn = page.ownedFn.get();
+    page.exec.reset();
+}
+
+void
 SystemSim::restartPage(Page &page, uint64_t run_cycle)
 {
     if (page.binding.impl == PageImpl::Hw) {
         page.core.reset();
-        page.exec = std::make_unique<interp::OperatorExec>(*page.fn,
-                                                           page.ports);
+        // The executor keeps the page function's Program across
+        // restarts; a function change drops it (setFn).
+        if (page.exec)
+            page.exec->reset();
+        else
+            page.exec = std::make_unique<interp::OperatorExec>(
+                *page.fn, page.ports);
     } else {
         page.exec.reset();
         page.core = std::make_unique<rv32::Core>(page.binding.elf,
@@ -1232,10 +1245,8 @@ SystemSim::installImage(uint64_t run_cycle)
     nb.opIdx = page.binding.opIdx;
     nb.pageId = page.binding.pageId; // swaps never relocate a page
     bool fn_changed = swap.newFn != nullptr;
-    if (fn_changed) {
-        page.ownedFn = std::move(swap.newFn);
-        page.fn = page.ownedFn.get();
-    }
+    if (fn_changed)
+        setFn(page, std::move(swap.newFn));
     bool restart = fn_changed || nb.impl != page.binding.impl;
     bool same_image =
         nb.imageHash != 0 && nb.imageHash == page.binding.imageHash;
@@ -1282,10 +1293,8 @@ SystemSim::installFallback(uint64_t run_cycle)
         .arg("fallback", static_cast<int64_t>(src ? 1 : 0));
     if (!src)
         return; // old image stays; future swaps are rejected
-    if (src == &swap.nb && swap.newFn) {
-        page.ownedFn = std::move(swap.newFn);
-        page.fn = page.ownedFn.get();
-    }
+    if (src == &swap.nb && swap.newFn)
+        setFn(page, std::move(swap.newFn));
     page.binding.impl = PageImpl::Softcore;
     page.binding.elf = src->fallbackElf;
     page.binding.imageBytes = src->fallbackElf.footprintBytes();
