@@ -2,8 +2,9 @@
  * Reproduces Table 3: Rosetta benchmark performance — Fmax and
  * per-input latency for the Vitis baseline, PLD -O3, PLD -O1
  * (overlay/NoC at 200 MHz), PLD -O0 (softcores), plus the X86 native
- * execution (wall clock of the functional KPN runtime) and a
- * Vitis-Emu-style estimate (functional simulation slowdown).
+ * execution (median wall clock of five runs of the functional KPN
+ * runtime) and a Vitis-Emu-style estimate (functional simulation
+ * slowdown).
  *
  * Shape to check: -O3 ~ Vitis, -O1 1.5-10x slower than monolithic,
  * -O0 orders of magnitude slower again (paper Table 3).
@@ -41,12 +42,18 @@ main()
         auto o1_rs = bench::execute(bm, o1);
         auto o0_rs = bench::execute(bm, o0);
 
-        // X86 native: wall clock of the compiled functional model.
-        Stopwatch sw;
-        dataflow::GraphRuntime rt(bm.graph);
-        rt.pushInput(0, bm.input);
-        rt.run();
-        double x86_t = sw.seconds() / double(bm.itemsPerRun);
+        // X86 native: wall clock of the compiled functional model,
+        // the median of five fresh runs (single runs are noisy).
+        std::vector<double> runs;
+        for (int rep = 0; rep < 5; ++rep) {
+            Stopwatch sw;
+            dataflow::GraphRuntime rt(bm.graph);
+            rt.pushInput(0, bm.input);
+            rt.run();
+            runs.push_back(sw.seconds());
+        }
+        std::sort(runs.begin(), runs.end());
+        double x86_t = runs[runs.size() / 2] / double(bm.itemsPerRun);
         // Vitis-Emu-style RTL simulation: model as ~50x the native
         // functional run (RTL simulators interpret the netlist).
         double emu_t = x86_t * 50.0;

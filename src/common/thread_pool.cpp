@@ -9,8 +9,6 @@
 #include <thread>
 #include <vector>
 
-#include "common/stopwatch.h"
-
 namespace pld {
 
 namespace {
@@ -39,13 +37,12 @@ freeSlots()
 
 } // namespace
 
-ParallelRun
+unsigned
 parallelFor(size_t n, unsigned threads,
             const std::function<void(size_t)> &fn)
 {
-    ParallelRun run;
     if (n == 0)
-        return run;
+        return 0;
     // Lease the workers beyond the caller: an exact request takes
     // them even from an exhausted budget, auto only what is free.
     auto &slots = freeSlots();
@@ -61,9 +58,6 @@ parallelFor(size_t n, unsigned threads,
     std::mutex mtx;
     std::exception_ptr error;
     auto drain = [&] {
-        // CPU clock, not wall: a timeshared thread's busy time must
-        // not count the time it spends descheduled.
-        ThreadCpuStopwatch cpu;
         try {
             for (size_t i = next++; i < n; i = next++)
                 fn(i);
@@ -73,9 +67,6 @@ parallelFor(size_t n, unsigned threads,
             if (!error)
                 error = std::current_exception();
         }
-        double s = cpu.seconds();
-        std::lock_guard<std::mutex> lk(mtx);
-        run.cpuSeconds += s;
     };
     std::vector<std::thread> pool;
     pool.reserve(workers);
@@ -92,8 +83,7 @@ parallelFor(size_t n, unsigned threads,
     slots.fetch_add(workers, std::memory_order_relaxed);
     if (error)
         std::rethrow_exception(error);
-    run.threads = static_cast<unsigned>(pool.size()) + 1;
-    return run;
+    return static_cast<unsigned>(pool.size()) + 1;
 }
 
 unsigned

@@ -5,13 +5,14 @@
  *
  * The PLD -O1 flow compiles independent pages concurrently (paper
  * Sec 6.2: "All the operators' compilations can be performed in
- * parallel"), and each page compile may itself parallelize its
- * placement restarts and routing batches. Every one of those sites
- * is a parallelFor call. The ThreadBudget keeps the nested
- * parallelism (pages x P&R threads) from oversubscribing the machine:
- * the outermost caller counts as one busy thread and every worker is
- * leased from the shared budget, so the total number of busy threads
- * stays near the hardware concurrency no matter how calls nest.
+ * parallel"); that fan-out in PldCompiler::build is the one
+ * parallelFor call. Place-and-route inside each page compile runs on
+ * the thread that compiles the page. The ThreadBudget keeps builds
+ * that run at the same time (a daemon serving several clients) from
+ * oversubscribing the machine: the outermost caller counts as one
+ * busy thread and every worker is leased from the shared budget, so
+ * the total number of busy threads stays near the hardware
+ * concurrency.
  */
 
 #ifndef PLD_COMMON_THREAD_POOL_H
@@ -21,16 +22,6 @@
 #include <functional>
 
 namespace pld {
-
-/** What one parallelFor() call ran on. */
-struct ParallelRun
-{
-    /** Threads that took part, the caller included (0 when n = 0). */
-    unsigned threads = 0;
-    /** Summed thread-CPU seconds of those threads: busy time, not
-     * time spent descheduled. */
-    double cpuSeconds = 0;
-};
 
 /**
  * Run fn(i) for every i in [0, n) on the calling thread plus workers
@@ -47,9 +38,12 @@ struct ParallelRun
  * an item is scheduling, so fn must write only state owned by item
  * i. If fn throws, the remaining items are skipped and the first
  * exception is rethrown to the caller once every thread has stopped.
+ *
+ * @return the threads that took part, the caller included (0 when
+ *         n = 0).
  */
-ParallelRun parallelFor(size_t n, unsigned threads,
-                        const std::function<void(size_t)> &fn);
+unsigned parallelFor(size_t n, unsigned threads,
+                     const std::function<void(size_t)> &fn);
 
 /**
  * Process-wide parallelism budget shared by every parallelFor. It

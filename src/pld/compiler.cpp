@@ -379,7 +379,6 @@ PldCompiler::attemptHw(const ir::OperatorFn &fn, int page_id,
     popts.effort = effort;
     popts.seed = seed;
     popts.abstractShell = true;
-    popts.threads = opts.pnrThreads;
     popts.placeRestarts = opts.pnrRestarts;
     popts.routeMaxIters = route_iters;
     popts.requiredFmaxMHz = opts.overlayClockMHz;
@@ -391,8 +390,8 @@ PldCompiler::attemptHw(const ir::OperatorFn &fn, int page_id,
             : 1.0;
     const Rect &region = dev.pages[page_id].rect;
     art->pnr = pnr::placeAndRoute(art->net, dev, region, popts);
-    // CPU split from the engine, for the same reason as above; the
-    // abstract-shell context load is serial and tiny.
+    // The engine's CPU clocks, for the same reason as above; the
+    // abstract-shell context load is tiny.
     art->times.pnr =
         art->pnr.placeCpuSeconds + art->pnr.routeCpuSeconds +
         art->pnr.contextSeconds;
@@ -730,8 +729,8 @@ PldCompiler::build(const ir::Graph &g, OptLevel level,
     // ---- per-operator compilation (parallel, cached) -------------
     // Each operator writes only its own out.ops slot; cache traffic
     // goes through the sharded single-flight table, so there is no
-    // coarse compile-section mutex and nested parallelism (pages x
-    // P&R threads) composes through the shared ThreadBudget.
+    // coarse compile-section mutex. Each page's place-and-route runs
+    // on the thread that compiles the page.
     //
     // A compile that throws fails its cache claim on the way out
     // (waiters are never stranded), and the catch blocks turn the
@@ -821,8 +820,6 @@ PldCompiler::build(const ir::Graph &g, OptLevel level,
     for (const auto &art : out.ops) {
         if (!art.fromCache && !art.outcome.failed)
             obs::record("pld.page.seconds", art.times.total());
-        if (!art.fromCache)
-            out.cpuTimes += art.times;
         StageTimes wall = art.fromCache ? StageTimes{} : art.times;
         out.wallTimes.maxWith(wall);
         OperatorOutcome oc = art.outcome;
@@ -887,17 +884,15 @@ PldCompiler::build(const ir::Graph &g, OptLevel level,
                 mono.addSink(n1, dst_cell);
             }
         }
-        auto sr = hls::synthesize(mono, eff);
+        hls::synthesize(mono, eff);
         stitch_span.arg("cells",
                         static_cast<int64_t>(mono.cells.size()));
         out.wallTimes.syn += syn_sw.seconds();
-        out.cpuTimes.syn += sr.seconds;
 
         pnr::PnrOptions popts;
         popts.effort = eff;
         popts.seed = opts.seed;
         popts.abstractShell = false; // full-context monolithic run
-        popts.threads = opts.pnrThreads;
         popts.placeRestarts = opts.pnrRestarts;
         Rect user{0, 0, 120, 576};
         out.monoPnr = pnr::placeAndRoute(mono, dev, user, popts);
@@ -906,16 +901,11 @@ PldCompiler::build(const ir::Graph &g, OptLevel level,
         out.report.buildStatus.merge(out.monoPnr.status);
         out.monoNet = std::move(mono);
         // The monolithic run happens after the page pool is done, so
-        // its wall time is uncontended and honest; CPU totals use the
-        // engine's per-thread busy split.
+        // its wall time is uncontended and honest.
         out.wallTimes.pnr += out.monoPnr.placeSeconds +
                              out.monoPnr.routeSeconds +
                              out.monoPnr.contextSeconds;
-        out.cpuTimes.pnr += out.monoPnr.placeCpuSeconds +
-                            out.monoPnr.routeCpuSeconds +
-                            out.monoPnr.contextSeconds;
         out.wallTimes.bitgen += out.monoPnr.bitgenSeconds;
-        out.cpuTimes.bitgen += out.monoPnr.bitgenSeconds;
         out.totalBitstreamBytes = out.monoPnr.bits.bytes;
         out.area = out.monoNet.resources();
         out.fmaxMHz = out.monoPnr.timing.fmaxMHz;

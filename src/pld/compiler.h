@@ -193,10 +193,11 @@ struct CompileOptions
     double effort = 1.0;
     /** Threads for parallel page compiles, the caller included: 0 =
      * whatever the shared ThreadBudget has free (up to one per
-     * operator; nested auto P&R gets only what is left), N = exactly
-     * N. Never affects results. */
+     * operator), N = exactly N. Each page's place-and-route runs on
+     * the thread that compiles the page. Never affects results. */
     unsigned parallelJobs = 0;
-    /** Threads inside each place-and-route run (0 = budget auto). */
+    /** Read by nothing (place-and-route runs on its caller's thread);
+     * kept because perfbench sets it. */
     unsigned pnrThreads = 0;
     /** Annealing restarts per placement (best-cost wins). */
     int pnrRestarts = 1;
@@ -271,8 +272,6 @@ struct AppBuild
      * stages are CPU-clocked so timesharing between parallel page
      * compiles on this machine does not inflate the estimate. */
     StageTimes wallTimes;
-    /** Total CPU across all operators (single-node cost). */
-    StageTimes cpuTimes;
 
     std::vector<OperatorArtifact> ops;
 

@@ -45,7 +45,6 @@ PnrResult
 placeAndRoute(const Netlist &net, const Device &dev,
               const Rect &region, const PnrOptions &opts)
 {
-    Stopwatch total;
     PnrResult res;
     obs::Span span("pnr", "pnr.pnr");
     span.arg("cells", static_cast<int64_t>(net.cells.size()));
@@ -76,19 +75,20 @@ placeAndRoute(const Netlist &net, const Device &dev,
     popts.effort = opts.effort;
     popts.seed = opts.seed;
     popts.restarts = opts.placeRestarts;
-    popts.threads = opts.threads;
     PlaceResult pr;
     {
         obs::Span pspan("pnr", "pnr.place");
+        Stopwatch wall;
+        ThreadCpuStopwatch cpu;
         pr = place(net, dev, region, popts);
+        res.placeSeconds = wall.seconds();
+        res.placeCpuSeconds = cpu.seconds();
         pspan.arg("restarts", static_cast<int64_t>(popts.restarts));
         pspan.arg("moves", static_cast<int64_t>(pr.movesAttempted));
     }
     res.place = pr.place;
-    res.placeSeconds = pr.seconds;
-    res.placeCpuSeconds = pr.cpuSeconds;
     res.placeMoves = pr.movesAttempted;
-    obs::record("pnr.place.seconds", pr.seconds);
+    obs::record("pnr.place.seconds", res.placeSeconds);
     if (res.placeMoves > 0)
         obs::record("pnr.place.ns_per_move",
                     res.placeCpuSeconds * 1e9 / double(res.placeMoves));
@@ -96,10 +96,13 @@ placeAndRoute(const Netlist &net, const Device &dev,
     RouterOptions ropts;
     ropts.channelCapacity = opts.channelCapacity;
     ropts.maxIters = opts.routeMaxIters;
-    ropts.threads = opts.threads;
     {
         obs::Span rspan("pnr", "pnr.route");
+        Stopwatch wall;
+        ThreadCpuStopwatch cpu;
         res.routing = route(net, dev, res.place, ropts);
+        res.routeSeconds = wall.seconds();
+        res.routeCpuSeconds = cpu.seconds();
         rspan.arg("iterations",
                   static_cast<int64_t>(res.routing.iterations));
         rspan.arg("overused",
@@ -107,10 +110,7 @@ placeAndRoute(const Netlist &net, const Device &dev,
         rspan.arg("feasible",
                   static_cast<int64_t>(res.routing.feasible ? 1 : 0));
     }
-    obs::record("pnr.route.seconds", res.routing.seconds);
-    res.routeSeconds = res.routing.seconds;
-    res.routeCpuSeconds = res.routing.cpuSeconds;
-    res.threadsUsed = res.routing.threadsUsed;
+    obs::record("pnr.route.seconds", res.routeSeconds);
     if (opts.injectRouteFail && res.routing.feasible) {
         // Injected congestion: report the run exactly as a real
         // infeasible route would, at the result boundary.
@@ -172,7 +172,6 @@ placeAndRoute(const Netlist &net, const Device &dev,
     res.bitgenSeconds = bg.seconds();
 
     res.success = res.routing.feasible && res.timingMet;
-    res.totalSeconds = total.seconds();
     return res;
 }
 

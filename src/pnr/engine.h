@@ -4,8 +4,8 @@
  *
  * Orchestrates placement, routing, timing, and bitstream generation
  * for one region (a page under the abstract shell, or the whole user
- * area for monolithic compiles) and reports per-stage wall time —
- * the numbers Table 2 is built from.
+ * area for monolithic compiles) on the calling thread, and reports
+ * per-stage time — the numbers Table 2 is built from.
  */
 
 #ifndef PLD_PNR_ENGINE_H
@@ -38,14 +38,6 @@ struct PnrOptions
      */
     bool abstractShell = true;
     int channelCapacity = 64;
-    /**
-     * parallelFor threads for placement restarts and each routing
-     * batch: 0 = whatever the shared ThreadBudget has free (serial
-     * inside a page compile that holds the budget), 1 = serial, N =
-     * exactly N threads. Results are bit-identical for every value
-     * (see DESIGN.md "Parallel place-and-route").
-     */
-    unsigned threads = 0;
     /** Independent annealing restarts; best-cost placement wins. */
     int placeRestarts = 1;
     /** Rip-up/reroute negotiation iterations (retry ladders raise
@@ -76,19 +68,18 @@ struct PnrResult
     RouteResult routing;
     TimingResult timing;
     Bitstream bits;
-    double placeSeconds = 0;   ///< wall (restarts overlap)
-    double routeSeconds = 0;   ///< wall (nets overlap)
+    /** Wall-clock seconds per stage. */
+    double placeSeconds = 0;
+    double routeSeconds = 0;
     double bitgenSeconds = 0;
     double contextSeconds = 0; ///< full-context load when no shell
-    double totalSeconds = 0;
-    /** Summed busy time across threads (single-node CPU cost). */
+    /** Thread-CPU seconds of placement and routing: busy time of the
+     * calling thread, which runs both (the own-node cost). */
     double placeCpuSeconds = 0;
     double routeCpuSeconds = 0;
     /** Annealing moves attempted across all restarts (deterministic
      * work proxy for compile-time scaling tests). */
     uint64_t placeMoves = 0;
-    /** Most threads a routing batch ran on. */
-    unsigned threadsUsed = 1;
     /** Achieved Fmax meets PnrOptions::requiredFmaxMHz (vacuously
      * true when no clock is required). */
     bool timingMet = true;

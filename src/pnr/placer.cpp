@@ -5,8 +5,6 @@
 
 #include "common/logging.h"
 #include "common/rng.h"
-#include "common/stopwatch.h"
-#include "common/thread_pool.h"
 #include "obs/trace.h"
 
 namespace pld {
@@ -140,18 +138,12 @@ class Annealer
     PlaceResult
     run()
     {
-        Stopwatch sw;
-        // Busy time on this thread: immune to timesharing when
-        // several restarts (or page compiles) share a core.
-        ThreadCpuStopwatch cpu_sw;
         PlaceResult res;
         res.initialCost = totalCost;
 
         size_t n = net.cells.size();
         if (n == 0 || net.nets.empty()) {
             res.place = place_;
-            res.seconds = sw.seconds();
-            res.cpuSeconds = cpu_sw.seconds();
             return res;
         }
 
@@ -185,8 +177,7 @@ class Annealer
             double rate =
                 double(acc_this_temp) / double(moves_per_temp);
             // The annealing schedule is a pure function of the seed,
-            // so these instants are structural even under restarts
-            // running on parallelFor workers.
+            // so these instants are structural.
             obs::instant("pnr", "pnr.place.temp")
                 .arg("step", static_cast<int64_t>(temp_steps))
                 .arg("accepted",
@@ -227,8 +218,6 @@ class Annealer
         res.finalCost = best_cost;
         res.movesAttempted = attempted;
         res.movesAccepted = accepted;
-        res.seconds = sw.seconds();
-        res.cpuSeconds = cpu_sw.seconds();
         return res;
     }
 
@@ -407,52 +396,29 @@ PlaceResult
 place(const Netlist &net, const Device &dev, const Rect &region,
       const PlacerOptions &opts)
 {
-    Stopwatch wall;
-    int restarts = std::max(1, opts.restarts);
-    std::vector<PlaceResult> results(restarts);
-
-    // Restarts may run on parallelFor workers, whose span stacks are
-    // empty; parent each restart to the logical caller instead.
-    // Restart results never depend on where they ran, so the thread
-    // count only affects wall time.
-    uint64_t parent_tok = obs::currentSpan();
-    parallelFor(restarts, opts.threads, [&](size_t r) {
-        obs::Span span("pnr", "pnr.place.restart", parent_tok);
+    // Best cost wins; ties go to the lowest restart index.
+    PlaceResult best;
+    uint64_t attempted = 0, accepted = 0;
+    for (int r = 0; r < std::max(1, opts.restarts); ++r) {
+        obs::Span span("pnr", "pnr.place.restart");
         span.arg("restart", static_cast<int64_t>(r));
         PlacerOptions o = opts;
         o.seed = restartSeed(opts.seed, r);
-        Annealer a(net, dev, region, o);
-        results[r] = a.run();
-        span.arg("moves",
-                 static_cast<int64_t>(results[r].movesAttempted));
+        PlaceResult res = Annealer(net, dev, region, o).run();
+        span.arg("moves", static_cast<int64_t>(res.movesAttempted));
         obs::count("pnr.place.restarts");
-    });
-
-    // Best cost wins; ties go to the lowest restart index so the
-    // outcome is identical for every thread count.
-    int best = 0;
-    for (int r = 1; r < restarts; ++r) {
-        if (results[r].finalCost < results[best].finalCost)
-            best = r;
-    }
-    uint64_t attempted = 0, accepted = 0;
-    double cpu = 0;
-    for (int r = 0; r < restarts; ++r) {
-        attempted += results[r].movesAttempted;
-        accepted += results[r].movesAccepted;
-        cpu += results[r].cpuSeconds;
+        attempted += res.movesAttempted;
+        accepted += res.movesAccepted;
+        if (r == 0 || res.finalCost < best.finalCost)
+            best = std::move(res);
     }
     obs::count("pnr.place.moves.attempted",
                static_cast<int64_t>(attempted));
     obs::count("pnr.place.moves.accepted",
                static_cast<int64_t>(accepted));
-    PlaceResult res = std::move(results[best]);
-    res.movesAttempted = attempted;
-    res.movesAccepted = accepted;
-    res.cpuSeconds = cpu;
-    res.restartsRun = restarts;
-    res.seconds = wall.seconds();
-    return res;
+    best.movesAttempted = attempted;
+    best.movesAccepted = accepted;
+    return best;
 }
 
 double

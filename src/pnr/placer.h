@@ -9,14 +9,12 @@
  * mechanism behind PLD's separate-compilation speedup (Sec 4.1).
  *
  * Each temperature attempts max(64, effort * n^1.2) swap moves over
- * n cells. Two levers keep the inner loop fast and the wall time
- * scalable: evaluate-then-commit moves (a move rescans only the nets
- * on the two swapped cells, with their candidate positions overlaid,
- * and writes state only when accepted; costs are multiples of 1/32, so
- * the running total is exact), and multi-seed restarts that run
- * concurrently and keep the best-cost placement. Restart results are
- * independent of the thread count, so placements are bit-identical at
- * threads=1 and threads=N for the same seed.
+ * n cells. Moves are evaluate-then-commit: a move rescans only the
+ * nets on the two swapped cells, with their candidate positions
+ * overlaid, and writes state only when accepted; costs are multiples
+ * of 1/32, so the running total is exact. Optional multi-seed restarts
+ * run one after another on the calling thread and keep the best-cost
+ * placement.
  */
 
 #ifndef PLD_PNR_PLACER_H
@@ -43,13 +41,13 @@ struct PlacerOptions
     double effort = 1.0;
     uint64_t seed = 1;
     /**
-     * Independent annealing runs (distinct derived seeds); the
-     * best-cost result wins, ties broken by restart index so the
-     * outcome never depends on scheduling.
+     * Independent annealing runs (distinct derived seeds), in index
+     * order; the best-cost result wins, ties broken by the lowest
+     * restart index.
      */
     int restarts = 1;
-    /** Concurrent restarts: 0 = thread-budget auto, 1 = serial,
-     * N = exactly N threads. */
+    /** Read by nothing (restarts run on the calling thread); kept
+     * because perfbench sets it. */
     unsigned threads = 1;
 };
 
@@ -61,11 +59,6 @@ struct PlaceResult
     /** Summed over all restarts (total algorithmic work). */
     uint64_t movesAttempted = 0;
     uint64_t movesAccepted = 0;
-    /** Wall-clock of the whole placement (restarts overlap). */
-    double seconds = 0;
-    /** Summed busy time across restarts (single-node cost). */
-    double cpuSeconds = 0;
-    int restartsRun = 1;
 };
 
 /**

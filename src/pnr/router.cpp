@@ -4,8 +4,6 @@
 #include <cmath>
 
 #include "common/logging.h"
-#include "common/stopwatch.h"
-#include "common/thread_pool.h"
 #include "obs/trace.h"
 
 namespace pld {
@@ -42,7 +40,6 @@ class PathFinder
     RouteResult
     run()
     {
-        Stopwatch sw;
         RouteResult res;
 
         // Initial route of every net.
@@ -52,7 +49,7 @@ class PathFinder
         {
             obs::Span init("pnr", "pnr.route.init");
             init.arg("nets", static_cast<int64_t>(work.size()));
-            routeBatch(work, res);
+            routeBatch(work);
         }
 
         int iter = 1;
@@ -81,7 +78,7 @@ class PathFinder
             obs::count("pnr.route.ripups",
                        static_cast<int64_t>(work.size()));
             ispan.arg("rerouted", static_cast<int64_t>(work.size()));
-            routeBatch(work, res);
+            routeBatch(work);
         }
 
         res.iterations = iter;
@@ -97,7 +94,6 @@ class PathFinder
         res.totalWirelength = wl;
         res.maxUtilization =
             static_cast<double>(peak) / opts.channelCapacity;
-        res.seconds = sw.seconds();
         res.routes = std::move(routes);
         return res;
     }
@@ -168,24 +164,20 @@ class PathFinder
     }
 
     /**
-     * Route @p work against the frozen state, one parallelFor item
-     * per net, then add the new paths' demand in work order. Each
-     * net reads only the frozen demand/history and writes only its
-     * own routes[ni] slot, so the thread count never shows.
+     * Route every net of @p work against the frozen state, then add
+     * the new paths' demand in work order. Each net reads only the
+     * frozen demand/history and writes only its own routes[ni] slot.
      */
     void
-    routeBatch(const std::vector<int> &work, RouteResult &res)
+    routeBatch(const std::vector<int> &work)
     {
-        ParallelRun run = parallelFor(
-            work.size(), opts.threads,
-            [&](size_t i) { routeNet(work[i]); });
+        for (int ni : work)
+            routeNet(ni);
         for (int ni : work) {
             int dem = demandOf(net.nets[ni].width);
             for (auto [c, r] : routes[ni])
                 demand[tileIdx(c, r)] += dem;
         }
-        res.cpuSeconds += run.cpuSeconds;
-        res.threadsUsed = std::max(res.threadsUsed, run.threads);
     }
 
     void

@@ -11,10 +11,9 @@
  *
  * The negotiation loop is batch-synchronous: every net in an
  * iteration routes against the congestion state frozen at the
- * iteration start (one parallelFor item per net), and the batch's
- * paths then add their demand in worklist order. Nets never see each
- * other's demand within a batch, so the result is bit-identical for
- * every thread count.
+ * iteration start, and the batch's paths then add their demand in
+ * worklist order. Nets never see each other's demand within a batch,
+ * so a net's path does not depend on where it sits in the worklist.
  */
 
 #ifndef PLD_PNR_ROUTER_H
@@ -34,8 +33,8 @@ struct RouterOptions
     /** Read by nothing (the router draws no random numbers); kept
      * because perfbench sets it. */
     uint64_t seed = 1;
-    /** parallelFor threads per batch: 0 = thread-budget auto, 1 =
-     * serial, N = exactly N threads. Never affects results. */
+    /** Read by nothing (every batch routes on the calling thread);
+     * kept because perfbench sets it. */
     unsigned threads = 1;
 };
 
@@ -46,12 +45,6 @@ struct RouteResult
     int64_t totalWirelength = 0; ///< tile-segments used (width-scaled)
     int overusedTiles = 0;       ///< remaining after last iteration
     double maxUtilization = 0;   ///< peak tile demand / capacity
-    /** Wall-clock of the routing run. */
-    double seconds = 0;
-    /** Summed thread-CPU time of every batch (single-node cost). */
-    double cpuSeconds = 0;
-    /** Most threads any batch ran on (1 = serial). */
-    unsigned threadsUsed = 1;
     /** Tiles crossed by each net, in routing order (determinism
      * checks and downstream analysis). */
     std::vector<std::vector<std::pair<int, int>>> routes;

@@ -308,7 +308,8 @@ decodeElf(ByteReader &r)
     e.entry = r.u32();
     e.memBytes = r.u32();
     uint64_t nwords = r.u64();
-    if (nwords * 4 > r.remaining())
+    // Divide, not multiply: nwords * 4 wraps for counts >= 2^62.
+    if (nwords > r.remaining() / 4)
         wireFail(CompileStage::Cache, "elf text overruns blob");
     e.text.reserve(static_cast<size_t>(nwords));
     for (uint64_t i = 0; i < nwords; ++i)

@@ -1034,7 +1034,6 @@ SystemSim::startAttempt()
     swap.ackWaitLeft = 0;
     swap.backoffLeft = 0;
     swap.stallLeft = 0;
-    swap.stalledThisAttempt = false;
     swap.hung = false;
     swap.activateLeft = 0;
     swap.result.attempts = swap.attempt + 1;
@@ -1045,7 +1044,6 @@ SystemSim::startAttempt()
     if (injector.fires(FaultKind::DmaStall, swap.site,
                        swap.attempt * kFaultAttemptStride)) {
         swap.stallLeft = kSwapDmaStallCycles;
-        swap.stalledThisAttempt = true;
         ++swap.result.dmaStalls;
         obs::count("sys.swap.dma_stalls");
     }

@@ -363,7 +363,6 @@ class SystemSim
         uint64_t ackWaitLeft = 0;  ///< drop detection countdown
         uint64_t backoffLeft = 0;
         uint64_t stallLeft = 0;    ///< dma_stall freeze countdown
-        bool stalledThisAttempt = false;
         bool hung = false;         ///< page_hang fired; await watchdog
         uint64_t activateLeft = 0;
         uint64_t watchdogDeadline = 0; ///< in elapsed-cycles space

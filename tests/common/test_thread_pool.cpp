@@ -9,7 +9,6 @@
 #include "common/thread_pool.h"
 
 using pld::parallelFor;
-using pld::ParallelRun;
 using pld::ThreadBudget;
 
 namespace {
@@ -41,14 +40,13 @@ TEST(ParallelFor, RunsEveryIndexExactlyOnce)
 {
     for (unsigned threads : {1u, 4u, 0u}) {
         std::vector<std::atomic<int>> hits(1000);
-        ParallelRun run = parallelFor(
+        unsigned ran = parallelFor(
             hits.size(), threads,
             [&](size_t i) { hits[i].fetch_add(1); });
         for (size_t i = 0; i < hits.size(); ++i)
             ASSERT_EQ(hits[i].load(), 1)
                 << "index " << i << " threads " << threads;
-        EXPECT_EQ(run.threads,
-                  threads ? threads : ThreadBudget::total());
+        EXPECT_EQ(ran, threads ? threads : ThreadBudget::total());
     }
 }
 
@@ -56,10 +54,9 @@ TEST(ParallelFor, ZeroItemsRunNothing)
 {
     std::atomic<int> calls{0};
     for (unsigned threads : {1u, 4u, 0u}) {
-        ParallelRun run = parallelFor(
-            0, threads, [&](size_t) { calls.fetch_add(1); });
-        EXPECT_EQ(run.threads, 0u);
-        EXPECT_EQ(run.cpuSeconds, 0.0);
+        EXPECT_EQ(parallelFor(0, threads,
+                              [&](size_t) { calls.fetch_add(1); }),
+                  0u);
     }
     EXPECT_EQ(calls.load(), 0);
 }
@@ -69,12 +66,12 @@ TEST(ParallelFor, ExactCountRunsInParallel)
     // Each item waits for all four threads to be inside at once, so
     // this only finishes quickly if four threads really run.
     std::atomic<unsigned> inside{0}, peak{0};
-    ParallelRun run = parallelFor(
-        4, 4, [&](size_t) { meetAll(inside, peak, 4); });
-    EXPECT_EQ(run.threads, 4u);
+    EXPECT_EQ(parallelFor(4, 4,
+                          [&](size_t) { meetAll(inside, peak, 4); }),
+              4u);
     EXPECT_EQ(peak.load(), 4u);
     // An exact request never runs more threads than items.
-    EXPECT_EQ(parallelFor(3, 8, [](size_t) {}).threads, 3u);
+    EXPECT_EQ(parallelFor(3, 8, [](size_t) {}), 3u);
 }
 
 TEST(ParallelFor, AutoTakesTheFreeBudget)
@@ -83,8 +80,8 @@ TEST(ParallelFor, AutoTakesTheFreeBudget)
     // free, so auto runs on as many threads as the budget allows.
     unsigned total = ThreadBudget::total();
     EXPECT_EQ(ThreadBudget::available(), total - 1);
-    EXPECT_EQ(parallelFor(64, 0, [](size_t) {}).threads, total);
-    EXPECT_EQ(parallelFor(1, 0, [](size_t) {}).threads, 1u);
+    EXPECT_EQ(parallelFor(64, 0, [](size_t) {}), total);
+    EXPECT_EQ(parallelFor(1, 0, [](size_t) {}), 1u);
 }
 
 TEST(ParallelFor, AutoInsideFullBudgetRunsOnCaller)
@@ -94,13 +91,13 @@ TEST(ParallelFor, AutoInsideFullBudgetRunsOnCaller)
     // oversubscribing.
     unsigned total = ThreadBudget::total();
     std::atomic<unsigned> free_inside{~0u}, nested{0};
-    ParallelRun outer = parallelFor(total, 0, [&](size_t i) {
+    unsigned outer = parallelFor(total, 0, [&](size_t i) {
         if (i != 0)
             return;
         free_inside = ThreadBudget::available();
-        nested = parallelFor(8, 0, [](size_t) {}).threads;
+        nested = parallelFor(8, 0, [](size_t) {});
     });
-    EXPECT_EQ(outer.threads, total);
+    EXPECT_EQ(outer, total);
     EXPECT_EQ(free_inside.load(), 0u);
     EXPECT_EQ(nested.load(), 1u);
 }
@@ -115,8 +112,8 @@ TEST(ParallelFor, ExactCountGrantedWhenBudgetExhausted)
             return;
         std::atomic<unsigned> inside{0};
         nested = parallelFor(3, 3, [&](size_t) {
-                     meetAll(inside, peak, 3);
-                 }).threads;
+            meetAll(inside, peak, 3);
+        });
     });
     EXPECT_EQ(nested.load(), 3u);
     EXPECT_EQ(peak.load(), 3u);

@@ -1,11 +1,11 @@
 /**
  * The telemetry determinism gate: compiling the same app with 1 vs 4
- * worker/P&R threads must produce an identical structural span tree
+ * page-compile threads must produce an identical structural span tree
  * (structureHash) and identical deterministic counter totals — the
  * in-process equivalent of CI diffing `pldtrace --hash` output for
  * PLD_THREADS=1 and =4. Thread counts are driven through
- * CompileOptions (parallelJobs / pnrThreads) rather than the env var
- * because ThreadBudget::total() is a cached-once static.
+ * CompileOptions::parallelJobs rather than the env var because
+ * ThreadBudget::total() is a cached-once static.
  */
 
 #include <gtest/gtest.h>
@@ -72,13 +72,12 @@ struct Fingerprint
 };
 
 Fingerprint
-compileWithThreads(unsigned jobs, unsigned pnr_threads)
+compileWithJobs(unsigned jobs)
 {
     obs::ScopedTracer st;
     CompileOptions o;
     o.effort = 0.25;
     o.parallelJobs = jobs;
-    o.pnrThreads = pnr_threads;
     PldCompiler pc(device(), o);
     AppBuild b = pc.build(makeApp(), OptLevel::O1);
     EXPECT_TRUE(b.report.allOk());
@@ -96,8 +95,8 @@ compileWithThreads(unsigned jobs, unsigned pnr_threads)
 
 TEST(Determinism, StructureAndCountersIdenticalAcrossThreadCounts)
 {
-    Fingerprint one = compileWithThreads(1, 1);
-    Fingerprint four = compileWithThreads(4, 4);
+    Fingerprint one = compileWithJobs(1);
+    Fingerprint four = compileWithJobs(4);
 
     EXPECT_EQ(one.structure, four.structure)
         << "span-tree structure must not depend on thread count";
@@ -113,8 +112,8 @@ TEST(Determinism, StructureAndCountersIdenticalAcrossThreadCounts)
 
 TEST(Determinism, RepeatedSequentialBuildsReproduce)
 {
-    Fingerprint a = compileWithThreads(1, 1);
-    Fingerprint b = compileWithThreads(1, 1);
+    Fingerprint a = compileWithJobs(1);
+    Fingerprint b = compileWithJobs(1);
     EXPECT_EQ(a.structure, b.structure);
     EXPECT_EQ(a.counters, b.counters);
 }
@@ -123,7 +122,7 @@ TEST(Determinism, ReportWindowMatchesRegistryForSoloBuild)
 {
     // For a single build on a fresh tracer the per-build window delta
     // is the whole registry; deterministic counters must agree.
-    Fingerprint fp = compileWithThreads(2, 2);
+    Fingerprint fp = compileWithJobs(2);
     ASSERT_TRUE(fp.report.enabled);
     for (const auto &[name, total] : fp.totals) {
         EXPECT_EQ(fp.report.counter(name), total)

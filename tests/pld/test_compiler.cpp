@@ -229,41 +229,6 @@ TEST(Flow, MonolithicGapGrowsWithOperatorCount)
         << "even at 2 operators, paged p&r beats monolithic";
 }
 
-TEST(Flow, BuildIdenticalAcrossPnrThreadCounts)
-{
-    // Thread count is a wall-time knob, never a result knob: a full
-    // AppBuild must be bit-identical at pnrThreads=1 and 8, with
-    // restarts engaged, at both the paged and monolithic levels.
-    Graph g = makeApp(16);
-    CompileOptions serial = quickOpts();
-    serial.pnrThreads = 1;
-    serial.pnrRestarts = 2;
-    CompileOptions wide = serial;
-    wide.pnrThreads = 8;
-
-    for (OptLevel lvl : {OptLevel::O1, OptLevel::O3}) {
-        PldCompiler pa(device(), serial);
-        PldCompiler pb(device(), wide);
-        AppBuild a = pa.build(g, lvl);
-        AppBuild b = pb.build(g, lvl);
-        EXPECT_EQ(a.area.luts, b.area.luts) << optLevelName(lvl);
-        EXPECT_EQ(a.area.bram18, b.area.bram18) << optLevelName(lvl);
-        EXPECT_EQ(a.fmaxMHz, b.fmaxMHz) << optLevelName(lvl);
-        EXPECT_EQ(a.totalBitstreamBytes, b.totalBitstreamBytes)
-            << optLevelName(lvl);
-        ASSERT_EQ(a.ops.size(), b.ops.size());
-        for (size_t i = 0; i < a.ops.size(); ++i)
-            EXPECT_EQ(a.ops[i].pnr.bits.hash, b.ops[i].pnr.bits.hash)
-                << optLevelName(lvl) << " op " << i;
-        if (lvl == OptLevel::O3) {
-            EXPECT_EQ(a.monoPnr.bits.hash, b.monoPnr.bits.hash);
-            EXPECT_EQ(a.monoPnr.place.pos, b.monoPnr.place.pos);
-            EXPECT_EQ(a.monoPnr.routing.totalWirelength,
-                      b.monoPnr.routing.totalWirelength);
-        }
-    }
-}
-
 TEST(Flow, IncrementalRecompileHitsCache)
 {
     Graph g = makeApp(32);
@@ -372,7 +337,6 @@ TEST(Flow, PlacementsMatchGoldenFingerprints)
     CompileOptions o;
     o.effort = 1.0;
     o.seed = 7;
-    o.pnrThreads = 1;
     struct Golden
     {
         uint64_t o1;

