@@ -4,7 +4,9 @@
  * (overlay/NoC at 200 MHz), PLD -O0 (softcores), plus the X86 native
  * execution (median wall clock of five runs of the functional KPN
  * runtime) and a Vitis-Emu-style estimate (functional simulation
- * slowdown).
+ * slowdown). Beside them, the interpreter statements each item
+ * costs: a work count a rerun reproduces exactly, where the two
+ * wall-clock columns move by up to about 1.7x between invocations.
  *
  * Shape to check: -O3 ~ Vitis, -O1 1.5-10x slower than monolithic,
  * -O0 orders of magnitude slower again (paper Table 3).
@@ -28,7 +30,7 @@ main()
             "(per logical input item)");
     t.addRow({"Benchmark", "vitis:Fmax", "t/in", "O3:Fmax", "t/in",
               "O1:Fmax", "t/in", "O0:Fmax", "t/in", "x86 t/in",
-              "emu t/in"});
+              "emu t/in", "stmts/in"});
 
     for (auto &bm : benches) {
         PldCompiler pc(bench::device(), bench::compileOptions(effort));
@@ -45,12 +47,14 @@ main()
         // X86 native: wall clock of the compiled functional model,
         // the median of five fresh runs (single runs are noisy).
         std::vector<double> runs;
+        uint64_t stmts = 0;
         for (int rep = 0; rep < 5; ++rep) {
             Stopwatch sw;
             dataflow::GraphRuntime rt(bm.graph);
             rt.pushInput(0, bm.input);
             rt.run();
             runs.push_back(sw.seconds());
+            stmts = rt.totalStatements();
         }
         std::sort(runs.begin(), runs.end());
         double x86_t = runs[runs.size() / 2] / double(bm.itemsPerRun);
@@ -66,7 +70,8 @@ main()
               fmtSeconds(bench::perInputSeconds(bm, o1, o1_rs)),
               fmtDouble(o0.fmaxMHz, 0) + "MHz",
               fmtSeconds(bench::perInputSeconds(bm, o0, o0_rs)),
-              fmtSeconds(x86_t), fmtSeconds(emu_t));
+              fmtSeconds(x86_t), fmtSeconds(emu_t),
+              fmtDouble(double(stmts) / double(bm.itemsPerRun), 0));
     }
     t.print();
     std::printf(

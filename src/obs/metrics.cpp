@@ -37,7 +37,6 @@ summarize(std::vector<double> samples)
     s.max = samples.back();
     s.p50 = quantile(samples, 0.50);
     s.p95 = quantile(samples, 0.95);
-    s.samples = std::move(samples);
     return s;
 }
 

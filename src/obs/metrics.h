@@ -6,9 +6,9 @@
  * Determinism contract (the PR 3 verdict-hash discipline applied to
  * telemetry): counter totals are pure functions of the build inputs —
  * graph, seed, fault plan — never of thread count or scheduling.
- * Counters that cannot honour that (actual-wait counts, lane
- * occupancy) must use the "sched." name prefix, which excludes them
- * from determinism comparisons. Gauges and distributions carry
+ * Counters that cannot honour that (actual-wait counts) must use the
+ * "sched." name prefix, which excludes them from determinism
+ * comparisons. Gauges and distributions carry
  * timing-flavoured values and are always excluded; a distribution's
  * summary is computed over its *sorted* samples, so for deterministic
  * value sets the summary is scheduling-independent too.
@@ -43,8 +43,6 @@ struct DistSummary
     double p50 = 0;
     double p95 = 0;
     double max = 0;
-    /** The raw samples, sorted ascending (page-time strips etc.). */
-    std::vector<double> samples;
 
     double mean() const { return count ? sum / double(count) : 0; }
 };

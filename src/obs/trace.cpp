@@ -6,6 +6,7 @@
 #include <fstream>
 #include <functional>
 #include <map>
+#include <set>
 
 #include "common/hash.h"
 #include "common/logging.h"
@@ -168,8 +169,7 @@ currentSpan()
 
 // ---- Span ----------------------------------------------------------
 
-Span::Span(const char *cat, std::string name, uint64_t parent,
-           bool structural)
+Span::Span(const char *cat, std::string name, uint64_t parent)
 {
     Tracer *t = Tracer::current();
     if (!t)
@@ -181,7 +181,6 @@ Span::Span(const char *cat, std::string name, uint64_t parent,
 
     Event ev;
     ev.ph = Phase::Span;
-    ev.structural = structural;
     ev.open = true;
     ev.cat = cat;
     ev.name = std::move(name);
@@ -373,45 +372,27 @@ ensureProcessTracer()
 // ---- structure hash ------------------------------------------------
 
 /**
- * The hash walks the event forest bottom-up. Children are looked up
- * through non-structural ancestors so a structural span under a
- * "sched" lane still contributes — attached to the lane's own
- * structural parent.
+ * The hash walks the event forest bottom-up. Only instants can be
+ * non-structural, and instants are leaves, so skipping them leaves
+ * every structural event's parent in the tree.
  */
 uint64_t
 Tracer::structureHash() const
 {
     std::vector<const Event *> events = allEvents();
-
-    // id -> event
-    std::map<uint64_t, const Event *> byId;
+    std::set<uint64_t> ids;
     for (const Event *e : events)
-        byId[e->id] = e;
-
-    // Resolve each event's nearest *structural* ancestor.
-    auto structuralParent = [&](const Event *e) -> uint64_t {
-        uint64_t p = e->parent;
-        while (p != 0) {
-            auto it = byId.find(p);
-            if (it == byId.end())
-                return 0;
-            if (it->second->structural)
-                return p;
-            p = it->second->parent;
-        }
-        return 0;
-    };
+        ids.insert(e->id);
 
     std::map<uint64_t, std::vector<const Event *>> children;
     std::vector<const Event *> roots;
     for (const Event *e : events) {
         if (!e->structural)
             continue;
-        uint64_t p = structuralParent(e);
-        if (p == 0)
-            roots.push_back(e);
+        if (ids.count(e->parent))
+            children[e->parent].push_back(e);
         else
-            children[p].push_back(e);
+            roots.push_back(e);
     }
 
     // Bottom-up Merkle hash; recursion depth == span nesting depth.

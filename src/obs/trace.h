@@ -68,7 +68,8 @@ struct EventArg
 struct Event
 {
     Phase ph = Phase::Span;
-    /** Excluded from structureHash() when false. */
+    /** Excluded from structureHash() when false; only instants can
+     * be non-structural, so such an event is always a leaf. */
     bool structural = true;
     /** Span still open (export before close; should not happen in
      * well-formed runs — the checker flags it). */
@@ -157,10 +158,9 @@ class Tracer
     /**
      * Merkle hash of the structural span tree: every structural
      * event hashes (phase, cat, name, args) plus the sorted multiset
-     * of its structural children's hashes; non-structural nodes are
-     * skipped with their children re-parented to the nearest
-     * structural ancestor. Timestamps, durations, and thread ids
-     * never enter the hash.
+     * of its structural children's hashes; non-structural instants
+     * are skipped. Timestamps, durations, and thread ids never enter
+     * the hash.
      */
     uint64_t structureHash() const;
 
@@ -210,8 +210,7 @@ uint64_t currentSpan();
 class Span
 {
   public:
-    Span(const char *cat, std::string name,
-         uint64_t parent = kAutoParent, bool structural = true);
+    Span(const char *cat, std::string name, uint64_t parent = kAutoParent);
     ~Span();
 
     Span(const Span &) = delete;

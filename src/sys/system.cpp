@@ -919,10 +919,10 @@ SystemSim::requestSwap(int page_id, const PageBinding &nb,
         return rr;
     };
 
-    if (swapQueue.size() >= cfg.swapQueueDepth)
+    if (swapQueue.size() >= kSwapQueueDepth)
         return reject(CompileCode::SwapRejected, /*retriable=*/true,
                       "pending-swap queue full (" +
-                          std::to_string(cfg.swapQueueDepth) +
+                          std::to_string(kSwapQueueDepth) +
                           " entries); retry after a queued swap "
                           "completes");
     int idx = findPage(page_id);
@@ -1030,12 +1030,9 @@ SystemSim::startAttempt()
     swap.phase = SwapPhase::Streaming;
     swap.packetIdx = 0;
     swap.txCur = 0;
-    swap.packetCycleLeft = 0;
-    swap.ackWaitLeft = 0;
-    swap.backoffLeft = 0;
-    swap.stallLeft = 0;
-    swap.hung = false;
-    swap.activateLeft = 0;
+    // One cycle to begin the first transmission, then its words.
+    swap.timer = 1 + kSwapPacketCycles;
+    swap.awaitingAck = false;
     swap.result.attempts = swap.attempt + 1;
     swap.watchdogDeadline = swap.elapsed + watchdogBudget();
     obs::instant("sys", "sys.swap.attempt")
@@ -1043,7 +1040,7 @@ SystemSim::startAttempt()
         .arg("attempt", static_cast<int64_t>(swap.attempt));
     if (injector.fires(FaultKind::DmaStall, swap.site,
                        swap.attempt * kFaultAttemptStride)) {
-        swap.stallLeft = kSwapDmaStallCycles;
+        swap.timer += kSwapDmaStallCycles;
         ++swap.result.dmaStalls;
         obs::count("sys.swap.dma_stalls");
     }
@@ -1059,7 +1056,9 @@ SystemSim::scheduleRetransmit()
     }
     ++swap.result.retransmits;
     obs::count("sys.swap.retransmits");
-    swap.backoffLeft = kSwapBackoffBase << (swap.txCur - 1);
+    // Back off, then begin the retransmission and stream its words.
+    swap.timer =
+        (kSwapBackoffBase << (swap.txCur - 1)) + 1 + kSwapPacketCycles;
 }
 
 void
@@ -1096,7 +1095,8 @@ SystemSim::transmissionResolved()
         // timeout, then retransmits.
         ++swap.result.drops;
         obs::count("sys.swap.drops");
-        swap.ackWaitLeft = kSwapAckTimeoutCycles;
+        swap.timer = kSwapAckTimeoutCycles;
+        swap.awaitingAck = true;
         return;
     }
     if (faults && injector.fires(FaultKind::ConfigCorrupt, swap.site,
@@ -1121,7 +1121,9 @@ SystemSim::transmissionResolved()
     ++swap.packetIdx;
     if (swap.packetIdx == swap.packetsTotal) {
         swap.phase = SwapPhase::Activating;
-        swap.activateLeft = kSwapActivationCycles;
+        swap.timer = kSwapActivationCycles;
+    } else {
+        swap.timer = 1 + kSwapPacketCycles;
     }
 }
 
@@ -1139,8 +1141,10 @@ SystemSim::attemptFailed()
         .arg("op", page.fn->name)
         .arg("attempt", static_cast<int64_t>(swap.attempt));
     swap.phase = SwapPhase::RollingBack;
-    swap.rollbackLeft =
-        imagePackets(page.binding.imageBytes) * (kSwapPacketCycles + 1);
+    // Each old packet costs its words plus a begin cycle; the next
+    // attempt starts one cycle after the last of them.
+    swap.timer =
+        imagePackets(page.binding.imageBytes) * (kSwapPacketCycles + 1) + 1;
 }
 
 void
@@ -1148,10 +1152,9 @@ SystemSim::stepSwap(uint64_t run_cycle)
 {
     Page &page = pages[swap.pageIdx];
     ++swap.elapsed;
-    switch (swap.phase) {
-      case SwapPhase::Idle:
+    if (swap.phase == SwapPhase::Idle)
         return;
-      case SwapPhase::Draining:
+    if (swap.phase == SwapPhase::Draining) {
         // A live (in-run) swap waits for the page's outbound traffic
         // to drain — the page keeps executing and empties its own
         // queues. A synchronous swap runs against a frozen fabric
@@ -1170,67 +1173,47 @@ SystemSim::stepSwap(uint64_t run_cycle)
             finishSwap(SwapOutcome::RolledBack, run_cycle);
         }
         return;
+    }
+    if (swap.phase != SwapPhase::RollingBack &&
+        swap.elapsed >= swap.watchdogDeadline) {
+        swap.result.watchdogFired = true;
+        obs::count("sys.swap.watchdog_fired");
+        attemptFailed();
+        return;
+    }
+    // After the drain every phase waits on the one timer, then acts.
+    if (swap.timer == 0 || --swap.timer > 0)
+        return;
+    switch (swap.phase) {
       case SwapPhase::Streaming:
-        if (swap.elapsed >= swap.watchdogDeadline) {
-            swap.result.watchdogFired = true;
-            obs::count("sys.swap.watchdog_fired");
-            attemptFailed();
-            return;
+        if (swap.awaitingAck) {
+            swap.awaitingAck = false;
+            scheduleRetransmit(); // drop confirmed by timeout
+        } else {
+            transmissionResolved();
         }
-        if (swap.stallLeft) {
-            --swap.stallLeft;
-            return;
-        }
-        if (swap.backoffLeft) {
-            --swap.backoffLeft;
-            return;
-        }
-        if (swap.ackWaitLeft) {
-            if (--swap.ackWaitLeft == 0)
-                scheduleRetransmit(); // drop confirmed by timeout
-            return;
-        }
-        if (swap.packetCycleLeft) {
-            if (--swap.packetCycleLeft == 0)
-                transmissionResolved();
-            return;
-        }
-        // Begin the next transmission of the current packet.
-        swap.packetCycleLeft = kSwapPacketCycles;
         return;
       case SwapPhase::Activating:
-        if (swap.elapsed >= swap.watchdogDeadline) {
-            swap.result.watchdogFired = true;
-            obs::count("sys.swap.watchdog_fired");
-            attemptFailed();
+        if (injector.fires(FaultKind::PageHang, swap.site,
+                           swap.attempt * kFaultAttemptStride)) {
+            // The page never reports up; the timer stays at 0, so
+            // only the watchdog ends the attempt.
+            obs::instant("sys", "sys.swap.hang")
+                .arg("op", page.fn->name)
+                .arg("attempt", static_cast<int64_t>(swap.attempt));
             return;
         }
-        if (swap.hung)
-            return; // page never reports up; watchdog will fire
-        if (swap.activateLeft && --swap.activateLeft == 0) {
-            if (injector.fires(FaultKind::PageHang, swap.site,
-                               swap.attempt * kFaultAttemptStride)) {
-                swap.hung = true;
-                obs::instant("sys", "sys.swap.hang")
-                    .arg("op", page.fn->name)
-                    .arg("attempt",
-                         static_cast<int64_t>(swap.attempt));
-                return;
-            }
-            finishSwap(SwapOutcome::Swapped, run_cycle);
-        }
+        finishSwap(SwapOutcome::Swapped, run_cycle);
         return;
       case SwapPhase::RollingBack:
-        if (swap.rollbackLeft) {
-            --swap.rollbackLeft;
-            return;
-        }
         if (swap.attempt + 1 < kSwapMaxAttempts) {
             ++swap.attempt;
             startAttempt();
         } else {
             finishSwap(SwapOutcome::Quarantined, run_cycle);
         }
+        return;
+      default:
         return;
     }
 }

@@ -82,14 +82,14 @@ struct PageBinding
 
 /** Cycles a dma_stall fault freezes the swap config channel for. */
 constexpr uint64_t kSwapDmaStallCycles = 64;
+/** Pending requestSwap() queue bound; further requests are rejected
+ * with a structured diagnostic instead of piling up. */
+constexpr size_t kSwapQueueDepth = 8;
 
 struct SystemConfig
 {
     /** Overlay (true, -O1/-O0) vs direct FIFO links (-O3/Vitis). */
     bool useNoc = true;
-    /** Pending requestSwap() queue bound; further requests are
-     * rejected with a structured diagnostic instead of piling up. */
-    size_t swapQueueDepth = 8;
     /**
      * Runtime fault plan (config_drop / config_corrupt / page_hang /
      * dma_stall). Empty = inherit PLD_FAULT from the environment.
@@ -218,7 +218,7 @@ class SystemSim
      * (run-local clock): the rest of the system keeps executing
      * while the swap engine drains and streams. Results are appended
      * to swapHistory() in start order. The request is validated at
-     * queueing time: a full queue (swapQueueDepth), a second request
+     * queueing time: a full queue (kSwapQueueDepth), a second request
      * targeting an already-queued or in-flight page, or an unknown /
      * quarantined target page is rejected with a structured
      * diagnostic instead of silently queueing a conflicting swap.
@@ -359,14 +359,13 @@ class SystemSim
         uint64_t packetsTotal = 0;
         uint64_t packetIdx = 0;
         int txCur = 0;             ///< transmissions of current packet
-        uint64_t packetCycleLeft = 0;
-        uint64_t ackWaitLeft = 0;  ///< drop detection countdown
-        uint64_t backoffLeft = 0;
-        uint64_t stallLeft = 0;    ///< dma_stall freeze countdown
-        bool hung = false;         ///< page_hang fired; await watchdog
-        uint64_t activateLeft = 0;
+        /** Cycles until the phase acts; 0 never expires (a hung
+         * activation waits for the watchdog). */
+        uint64_t timer = 0;
+        /** The Streaming wait is the ack timeout of a dropped packet,
+         * not a transmission. */
+        bool awaitingAck = false;
         uint64_t watchdogDeadline = 0; ///< in elapsed-cycles space
-        uint64_t rollbackLeft = 0;
         /** Fault site of the target page, fixed for the swap. */
         std::string site;
         SwapResult result;

@@ -177,10 +177,8 @@ TEST(Trace, StructureHashIgnoresSchedEvents)
             {
                 Span b("pnr", "route");
                 if (with_sched) {
-                    // Scheduling-dependent: lane spans + instants in
-                    // category "sched", marked non-structural.
-                    Span lane("sched", "lane", kAutoParent,
-                              /*structural=*/false);
+                    // Scheduling-dependent: an instant in category
+                    // "sched", marked non-structural.
                     instant("sched", "cache.hit",
                             /*structural=*/false);
                 }
@@ -216,26 +214,6 @@ TEST(Trace, StructureHashSeesShapeNamesAndArgs)
     EXPECT_NE(base, run("inner", 2, true)) << "args must matter";
     EXPECT_NE(base, run("inner", 1, false)) << "shape must matter";
     EXPECT_EQ(base, run("inner", 1, true)) << "must be reproducible";
-}
-
-TEST(Trace, NonStructuralChildrenReparentThroughSchedSpans)
-{
-    // build > sched-lane(non-structural) > work  must hash the same
-    // as  build > work : the lane is transparent.
-    auto run = [](bool via_lane) {
-        ScopedTracer st;
-        {
-            Span a("pld", "build");
-            if (via_lane) {
-                Span lane("sched", "lane", kAutoParent, false);
-                Span w("pnr", "work");
-            } else {
-                Span w("pnr", "work");
-            }
-        }
-        return st.tracer().structureHash();
-    };
-    EXPECT_EQ(run(true), run(false));
 }
 
 // -------- counters, gauges, distributions ---------------------------
@@ -274,9 +252,6 @@ TEST(Metrics, DistributionSummaryMatchesHandComputed)
     EXPECT_DOUBLE_EQ(d->p50, 50.0); // nearest rank: ceil(.5*100)=50
     EXPECT_DOUBLE_EQ(d->p95, 95.0); // ceil(.95*100)=95
     EXPECT_DOUBLE_EQ(d->max, 100.0);
-    ASSERT_EQ(d->samples.size(), 100u);
-    EXPECT_TRUE(std::is_sorted(d->samples.begin(),
-                               d->samples.end()));
 }
 
 TEST(Metrics, DistributionSmallSampleQuantiles)

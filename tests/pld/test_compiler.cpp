@@ -169,11 +169,29 @@ TEST(Flow, O0CompilesFarFasterThanO1)
 
 TEST(Flow, O1CompilesFasterThanMonolithic)
 {
+    // One p&r sample per side is at the mercy of a scheduling hiccup:
+    // compare the medians of three fresh builds per side. Beside the
+    // wall clock, the deterministic reason for the gap: the monolithic
+    // placer makes more moves than the largest page's.
     Graph g = makeApp(64);
-    PldCompiler pc(device(), quickOpts());
-    AppBuild o1 = pc.build(g, OptLevel::O1);
-    AppBuild o3 = pc.build(g, OptLevel::O3);
-    EXPECT_LT(o1.wallTimes.pnr, o3.wallTimes.pnr)
+    auto median_pnr = [&](OptLevel lvl, AppBuild &last) {
+        std::vector<double> walls;
+        for (int rep = 0; rep < 3; ++rep) {
+            PldCompiler pc(device(), quickOpts());
+            last = pc.build(g, lvl);
+            walls.push_back(last.wallTimes.pnr);
+        }
+        std::sort(walls.begin(), walls.end());
+        return walls[1];
+    };
+    AppBuild o1, o3;
+    double o1_pnr = median_pnr(OptLevel::O1, o1);
+    double o3_pnr = median_pnr(OptLevel::O3, o3);
+    uint64_t page_moves = 0;
+    for (const auto &op : o1.ops)
+        page_moves = std::max(page_moves, op.pnr.placeMoves);
+    EXPECT_GT(o3.monoPnr.placeMoves, page_moves);
+    EXPECT_LT(o1_pnr, o3_pnr)
         << "separate page compiles beat monolithic p&r (Table 2)";
 }
 
@@ -252,12 +270,15 @@ TEST(Flow, IncrementalRecompileHitsCache)
 
 TEST(Flow, CachedRebuildHasNearZeroWallTime)
 {
+    // Exact by construction: a cached operator contributes no stage
+    // time to the build's wall times.
     Graph g = makeApp(32);
     PldCompiler pc(device(), quickOpts());
-    AppBuild first = pc.build(g, OptLevel::O1);
+    pc.build(g, OptLevel::O1);
     AppBuild second = pc.build(g, OptLevel::O1);
-    EXPECT_LT(second.wallTimes.total(),
-              first.wallTimes.total() * 0.2 + 1e-3);
+    for (const auto &op : second.ops)
+        EXPECT_TRUE(op.fromCache) << op.name;
+    EXPECT_EQ(second.wallTimes.total(), 0.0);
 }
 
 TEST(Flow, PragmaSelectsMixedTargets)
@@ -364,6 +385,49 @@ TEST(Flow, PlacementsMatchGoldenFingerprints)
         };
         EXPECT_EQ(digest(OptLevel::O1), golden[i].o1) << apps[i].name;
         EXPECT_EQ(digest(OptLevel::O3), golden[i].o3) << apps[i].name;
+    }
+}
+
+TEST(Flow, PlacementWorkRatiosMatchGolden)
+{
+    // Table 2's deterministic columns for the six Rosetta apps at
+    // effort 1 and seed 7: the Vitis flow's placer moves, and the
+    // largest and summed -O1 page moves. The critical-path work ratio
+    // is vitis / largest page, the total-work ratio is summed pages /
+    // vitis; both are pure functions of effort and seed, and the
+    // comments give them to two places.
+    CompileOptions o;
+    o.effort = 1.0;
+    o.seed = 7;
+    struct Golden
+    {
+        uint64_t vitis;
+        uint64_t pageMax;
+        uint64_t pageSum;
+    };
+    const Golden golden[] = {
+        {338767, 84471, 326952},  // rendering  4.01x, 0.97x
+        {153725, 40250, 206343},  // digit rec  3.82x, 1.34x
+        {165308, 40250, 236140},  // spam       4.11x, 1.43x
+        {266888, 92575, 296254},  // optical    2.88x, 1.11x
+        {225940, 65201, 271757},  // face       3.47x, 1.20x
+        {922600, 126092, 719174}, // bnn        7.32x, 0.78x
+    };
+    std::vector<rosetta::Benchmark> apps = rosetta::allBenchmarks();
+    ASSERT_EQ(apps.size(), std::size(golden));
+    for (size_t i = 0; i < apps.size(); ++i) {
+        PldCompiler pc(device(), o);
+        AppBuild vit = pc.build(apps[i].graph, OptLevel::Vitis);
+        AppBuild o1 = pc.build(apps[i].graph, OptLevel::O1);
+        uint64_t page_max = 0, page_sum = 0;
+        for (const auto &op : o1.ops) {
+            page_max = std::max(page_max, op.pnr.placeMoves);
+            page_sum += op.pnr.placeMoves;
+        }
+        EXPECT_EQ(vit.monoPnr.placeMoves, golden[i].vitis)
+            << apps[i].name;
+        EXPECT_EQ(page_max, golden[i].pageMax) << apps[i].name;
+        EXPECT_EQ(page_sum, golden[i].pageSum) << apps[i].name;
     }
 }
 

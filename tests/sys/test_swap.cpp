@@ -55,6 +55,21 @@ makePipeline(int n)
     return gb.finish();
 }
 
+/** Chain of @p k add-constant operators. */
+Graph
+makeChain(int k, int n)
+{
+    GraphBuilder gb("chain");
+    GraphBuilder::WireId prev = gb.extIn("I");
+    auto out = gb.extOut("O");
+    for (int i = 0; i < k; ++i) {
+        GraphBuilder::WireId next = (i == k - 1) ? out : gb.wire();
+        gb.inst(makeAddK("c" + std::to_string(i), i, n), {prev}, {next});
+        prev = next;
+    }
+    return gb.finish();
+}
+
 std::vector<uint32_t>
 iota(int n)
 {
@@ -562,9 +577,8 @@ TEST(Swap, RequestSwapRejectsStructurally)
     // with a structured diagnostic, never queued to fail silently.
     const int n = 8;
     Graph g = makePipeline(n);
-    SystemConfig cfg = swapCfg();
-    cfg.swapQueueDepth = 2;
-    SystemSim sim(g, {hwBinding(g, 0, 0), hwBinding(g, 1, 5)}, cfg);
+    SystemSim sim(g, {hwBinding(g, 0, 0), hwBinding(g, 1, 5)},
+                  swapCfg());
     PageBinding nb0 = swapImage(hwBinding(g, 0, 0), 256, 2.0);
     PageBinding nb5 = swapImage(hwBinding(g, 1, 5), 256, 2.0);
 
@@ -591,12 +605,20 @@ TEST(Swap, RequestSwapRejectsStructurally)
     r = sim.requestSwap(5, nb5, 200);
     EXPECT_FALSE(r.accepted); // duplicate fires first
     EXPECT_EQ(sim.pendingSwapRequests(), 2u);
-    SystemSim sim2(g, {hwBinding(g, 0, 0), hwBinding(g, 1, 5)},
-                   cfg);
-    EXPECT_TRUE(sim2.requestSwap(0, nb0, 0).accepted);
-    EXPECT_TRUE(sim2.requestSwap(5, nb5, 0).accepted);
-    PageBinding nb0b = swapImage(hwBinding(g, 0, 0), 512, 2.0);
-    r = sim2.requestSwap(0, nb0b, 300); // depth 2 reached
+    // A chain of kSwapQueueDepth + 1 pages: every page but the last
+    // queues a swap, which fills the queue.
+    const int k = static_cast<int>(sys::kSwapQueueDepth) + 1;
+    Graph chain = makeChain(k, n);
+    std::vector<PageBinding> chain_pages;
+    for (int i = 0; i < k; ++i)
+        chain_pages.push_back(hwBinding(chain, i, i));
+    SystemSim sim2(chain, chain_pages, swapCfg());
+    for (int i = 0; i + 1 < k; ++i)
+        EXPECT_TRUE(
+            sim2.requestSwap(i, swapImage(chain_pages[i], 256, 2.0), 0)
+                .accepted);
+    PageBinding last = swapImage(chain_pages[k - 1], 512, 2.0);
+    r = sim2.requestSwap(k - 1, last, 300); // kSwapQueueDepth reached
     EXPECT_FALSE(r.accepted);
     EXPECT_TRUE(r.diag.retriable);
     EXPECT_NE(r.diag.detail.find("queue full"), std::string::npos);
